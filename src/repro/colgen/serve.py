@@ -1,22 +1,21 @@
 """Serve the OSN's HTML surface directly off a :class:`ColumnarWorld`.
 
-:class:`ColumnarNetwork` duck-types the slice of
-:class:`~repro.osn.network.SocialNetwork` that
-:class:`~repro.osn.frontend.HtmlFrontend` actually calls — relationship
-classification, profile views, friend pages, both search surfaces, the
-school directory and the contact verbs — but answers every read from
-the flat columns and CSR adjacency instead of per-account objects.
-That is what unlocks city-tier crawls: a million-account world held as
-~100 bytes/user of columns is served page-by-page without ever
-materialising a million ``Account`` objects.
+:class:`ColumnarNetwork` is the columnar storage adapter behind the
+OSN's one policy read path (the module functions of
+:mod:`repro.osn.network`): it provides the same storage surface and
+verbs as :class:`~repro.osn.network.SocialNetwork`, but answers every
+read from the flat columns and CSR adjacency instead of per-account
+objects.  That is what unlocks city-tier crawls: a million-account
+world held as ~100 bytes/user of columns is served page-by-page without
+ever materialising a million ``Account`` objects.
 
 Two serving regimes:
 
 * **Encoder-built worlds** (``world.profiles is not None``): every
-  profile field was column-packed losslessly, all pages render through
-  the same :func:`~repro.osn.network.render_profile_view` + template
-  pipeline as the object path, and the output is **byte-identical** to
-  the object world's (``tests/test_colgen_serve.py`` holds it there).
+  profile field was column-packed losslessly, so pages render through
+  the same policy path and templates as the object world and the output
+  is **byte-identical** to it (``tests/test_colgen_serve.py`` holds it
+  there).
 * **Native vectorised tiers** (``world.profiles is None``): the
   generator never built profile objects, so the serve path synthesises
   a documented projection per account — name/gender/city from the
@@ -34,21 +33,16 @@ overlay registered up front via :meth:`add_session_accounts`.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.osn import network as policy_path
 from repro.osn.clock import SimClock
-from repro.osn.errors import ForbiddenError, NotFoundError
+from repro.osn.errors import NotFoundError
 from repro.osn.frontend import HtmlFrontend
-from repro.osn.messaging import ContactService, FriendRequest, Message
-from repro.osn.network import (
-    DirectoryEntry,
-    GraphSearchQuery,
-    School,
-    render_profile_view,
-)
+from repro.osn.messaging import ContactService, Message
+from repro.osn.network import DirectoryEntry, GraphSearchQuery, School
 from repro.osn.policy import SitePolicy, facebook_policy
-from repro.osn.privacy import PrivacySettings, ProfileField, Relationship
+from repro.osn.privacy import PrivacySettings, Relationship
 from repro.osn.profile import Birthday, Name, Profile, SchoolAffiliation
 from repro.osn.ratelimit import RateLimitConfig
 from repro.osn.rendercache import RenderCache
@@ -61,41 +55,15 @@ from .views import GENDER_ORDER
 if False:  # pragma: no cover - typing only
     from repro.telemetry.runtime import Telemetry
 
-#: Shared sentinel profile for *eligibility* account views: policy
+#: Shared sentinel profile for *policy-only* account views: policy
 #: predicates (search eligibility, friend-list audience, message button)
 #: read only ``settings`` and ``registered_birthday``, so scans can skip
 #: the full profile decode.  Never rendered.
 _ELIGIBILITY_PROFILE = Profile(name=Name("", ""))
 
 
-class _LazyUsers:
-    """The ``network.users`` facade: lazily-decoded account lookups.
-
-    The frontend only calls ``get`` (session authentication); the
-    countermeasure path goes through the network's own helpers.  Returned
-    accounts are *eligibility* views — settings and birthdays exact,
-    profile a shared sentinel — decoded fresh per call, never cached.
-    """
-
-    def __init__(self, network: "ColumnarNetwork") -> None:
-        self._network = network
-
-    def get(self, user_id: int) -> Optional[Account]:
-        network = self._network
-        if not network._has_uid(user_id):
-            return None
-        return network._light_account(user_id)
-
-    def __contains__(self, user_id: int) -> bool:
-        return self._network._has_uid(user_id)
-
-    def __len__(self) -> int:
-        network = self._network
-        return network.world.n_accounts + len(network._overlay)
-
-
 class ColumnarNetwork:
-    """A read-mostly :class:`SocialNetwork` stand-in over columns + CSR.
+    """Columnar storage for the OSN policy path, over columns + CSR.
 
     Constructor knobs mirror ``SocialNetwork``'s so a columnar server
     can be configured identically to the object world it was encoded
@@ -126,7 +94,6 @@ class ColumnarNetwork:
         self.search_salt = world.seed if search_salt is None else search_salt
 
         self.contact = ContactService()
-        self.users = _LazyUsers(self)
         #: session (attacker) accounts laid over the immutable columns.
         self._overlay: Dict[int, Account] = {}
         self._version = 0
@@ -172,22 +139,15 @@ class ColumnarNetwork:
         self._school_members = members
 
     # ------------------------------------------------------------------
-    # World version (render-cache invalidation contract)
+    # World version: the columns are immutable, so only overlay
+    # registration bumps it (contract: repro.osn.network.version)
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
-        """Monotone counter with the same contract as the object world's.
-
-        The columns themselves are immutable, so only overlay
-        registration bumps it; anything mutating world state out of band
-        must call :meth:`bump_version` (see
-        ``SocialNetwork.version``).
-        """
-        return self._version
+        return policy_path.version(self)
 
     def bump_version(self) -> None:
-        """Invalidate cached page renders after an out-of-band mutation."""
-        self._version += 1
+        policy_path.bump_version(self)
 
     # ------------------------------------------------------------------
     # Session (attacker) accounts
@@ -220,29 +180,31 @@ class ColumnarNetwork:
         return uids
 
     # ------------------------------------------------------------------
-    # Account decoding (lazy views; never cached, so reads stay pure)
+    # Storage surface: accounts (lazy views; never cached, so reads
+    # stay pure)
     # ------------------------------------------------------------------
-    def _has_uid(self, user_id: int) -> bool:
+    def has_account(self, user_id: int) -> bool:
         if user_id in self._overlay:
             return True
         return 0 <= user_id - self.world.uid_base < self.world.n_accounts
 
-    def _check_uid(self, user_id: int) -> None:
-        if not self._has_uid(user_id):
-            raise NotFoundError(f"no such user: {user_id}")
-
     def _row(self, user_id: int) -> int:
         return user_id - self.world.uid_base
 
-    def _account(self, user_id: int, profile: Profile) -> Account:
-        """Assemble an :class:`Account` around ``profile`` from columns."""
+    def _account(self, user_id: int, full: bool) -> Account:
+        """An existing uid's account: the overlay's, or one assembled
+        from columns around the decoded profile (``full``) or the
+        policy-only sentinel."""
+        overlay = self._overlay.get(user_id)
+        if overlay is not None:
+            return overlay
         world = self.world
         row = self._row(user_id)
         acc = world.accounts
         pid = int(acc.person_id[row])
         return Account(
             user_id=user_id,
-            profile=profile,
+            profile=self._full_profile(row) if full else _ELIGIBILITY_PROFILE,
             registered_birthday=Birthday(
                 year=int(acc.registered_birth_year[row]),
                 fraction=float(acc.registered_birth_fraction[row]),
@@ -257,20 +219,15 @@ class ColumnarNetwork:
             is_fake=bool(int(acc.is_fake[row])),
         )
 
-    def _light_account(self, user_id: int) -> Account:
-        """Eligibility view: exact settings/birthdays, sentinel profile."""
-        overlay = self._overlay.get(user_id)
-        if overlay is not None:
-            return overlay
-        return self._account(user_id, _ELIGIBILITY_PROFILE)
+    def policy_account(self, user_id: int) -> Optional[Account]:
+        """Policy-only view: exact settings/birthdays, sentinel profile."""
+        return self._account(user_id, full=False) if self.has_account(user_id) else None
 
     def get_account(self, user_id: int) -> Account:
         """Full account view (profile decoded); raises on unknown uid."""
-        overlay = self._overlay.get(user_id)
-        if overlay is not None:
-            return overlay
-        self._check_uid(user_id)
-        return self._account(user_id, self._full_profile(self._row(user_id)))
+        if not self.has_account(user_id):
+            raise NotFoundError(f"no such user: {user_id}")
+        return self._account(user_id, full=True)
 
     def _full_profile(self, row: int) -> Profile:
         world = self.world
@@ -285,11 +242,6 @@ class ColumnarNetwork:
         if pid < 0:
             return Profile(name=Name("", ""))
         people = world.people
-        lookup = world.names.lookup
-        name = Name(
-            lookup(int(people.first_name_id[pid])) or "",
-            lookup(int(people.last_name_id[pid])) or "",
-        )
         city = world.cities.lookup(int(people.city_id[pid]))
         idx = int(people.school_index[pid])
         cohort = int(people.cohort_year[pid])
@@ -304,14 +256,14 @@ class ColumnarNetwork:
                 ),
             )
         return Profile(
-            name=name,
+            name=self._person_name(pid),
             gender=GENDER_ORDER[int(people.gender[pid])],
             high_schools=affiliations,
             hometown=city,
             current_city=city,
         )
 
-    def _display_name(self, user_id: int) -> str:
+    def display_name(self, user_id: int) -> str:
         overlay = self._overlay.get(user_id)
         if overlay is not None:
             return overlay.profile.name.full
@@ -325,207 +277,17 @@ class ColumnarNetwork:
                 lookup(int(profiles.last_name_id[row])) or "",
             ).full
         pid = int(world.accounts.person_id[row])
-        if pid < 0:
-            return ""
-        people = world.people
-        lookup = world.names.lookup
+        return self._person_name(pid).full if pid >= 0 else ""
+
+    def _person_name(self, pid: int) -> Name:
+        people = self.world.people
+        lookup = self.world.names.lookup
         return Name(
             lookup(int(people.first_name_id[pid])) or "",
             lookup(int(people.last_name_id[pid])) or "",
-        ).full
-
-    # ------------------------------------------------------------------
-    # Graph queries (CSR; overlay accounts are friendless by design)
-    # ------------------------------------------------------------------
-    def _are_friends(self, a: int, b: int) -> bool:
-        if a in self._overlay or b in self._overlay:
-            return False
-        return self.world.are_friends(a, b)
-
-    def _has_mutual_friend(self, a: int, b: int) -> bool:
-        if a in self._overlay or b in self._overlay:
-            return False
-        graph = self.world.csr
-        if graph is None:
-            raise RuntimeError(
-                f"tier {self.world.tier!r} is generation-only: no adjacency"
-            )
-        return graph.mutual_friend_count(self._row(a), self._row(b)) > 0
-
-    def _friend_ids(self, user_id: int) -> List[int]:
-        if user_id in self._overlay:
-            return []
-        return self.world.friends(user_id)
-
-    def _network_ids(self, user_id: int) -> Tuple[int, ...]:
-        """Interned ids of ``profile.networks`` (shared vocabulary)."""
-        if user_id in self._overlay:
-            return ()
-        profiles = self.world.profiles
-        if profiles is None:
-            return ()
-        row = self._row(user_id)
-        lo = int(profiles.networks_indptr[row])
-        hi = int(profiles.networks_indptr[row + 1])
-        return tuple(int(profiles.network_id[i]) for i in range(lo, hi))
-
-    def friend_count(self, user_id: int) -> int:
-        if user_id in self._overlay:
-            return 0
-        return self.world.degree(user_id)
-
-    # ------------------------------------------------------------------
-    # Viewer relationship / profile views (object-path semantics, exactly)
-    # ------------------------------------------------------------------
-    def relationship(
-        self, viewer_id: Optional[int], target_id: int
-    ) -> Relationship:
-        self._check_uid(target_id)
-        if viewer_id is None:
-            return Relationship.STRANGER
-        if viewer_id == target_id:
-            return Relationship.SELF
-        self._check_uid(viewer_id)
-        if self._are_friends(viewer_id, target_id):
-            return Relationship.FRIEND
-        if self._has_mutual_friend(viewer_id, target_id):
-            return Relationship.FRIEND_OF_FRIEND
-        if set(self._network_ids(viewer_id)) & set(self._network_ids(target_id)):
-            return Relationship.NETWORK_MEMBER
-        return Relationship.STRANGER
-
-    def view_profile(
-        self, viewer_id: Optional[int], target_id: int
-    ) -> ProfileView:
-        account = self.get_account(target_id)
-        if account.disabled:
-            raise NotFoundError(f"account {target_id} is deactivated")
-        rel = self.relationship(viewer_id, target_id)
-        return render_profile_view(self.policy, account, rel, self.clock.now_year)
-
-    def _friend_list_visible(self, account: Account, rel: Relationship) -> bool:
-        return self.policy.field_visible_to(
-            account, ProfileField.FRIEND_LIST, rel, self.clock.now_year
         )
 
-    # ------------------------------------------------------------------
-    # Friend lists
-    # ------------------------------------------------------------------
-    def friend_page(
-        self, viewer_id: Optional[int], target_id: int, offset: int = 0
-    ) -> Tuple[int, List[DirectoryEntry]]:
-        self._check_uid(target_id)
-        account = self._light_account(target_id)
-        rel = self.relationship(viewer_id, target_id)
-        if not self._friend_list_visible(account, rel):
-            raise ForbiddenError(f"friend list of {target_id} not visible")
-        friend_ids = self._friend_ids(target_id)
-        if not self.reverse_lookup_enabled:
-            friend_ids = [
-                fid
-                for fid in friend_ids
-                if self._visible_in_friend_lists(viewer_id, fid)
-            ]
-        total = len(friend_ids)
-        page = friend_ids[offset : offset + self.friends_page_size]
-        entries = [
-            DirectoryEntry(fid, self._display_name(fid)) for fid in page
-        ]
-        return total, entries
-
-    def _visible_in_friend_lists(
-        self, viewer_id: Optional[int], member_id: int
-    ) -> bool:
-        if not self._has_uid(member_id):
-            return False
-        member = self._light_account(member_id)
-        if member.disabled:
-            return False
-        rel = self.relationship(viewer_id, member_id)
-        return self._friend_list_visible(member, rel)
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def _school_member_ids(self, school_id: int) -> List[int]:
-        return self._school_members.get(school_id, [])
-
-    def _search_pool(self, viewer_account_id: int, school_id: int) -> List[int]:
-        """Identical formula to ``SocialNetwork._search_pool`` — the
-        per-account truncated sample depends only on (viewer uid, school
-        id, salt), so the same accounts see the same pools on both
-        serving backends."""
-        now = self.clock.now_year
-        eligible = [
-            uid
-            for uid in self._school_member_ids(school_id)
-            if self.policy.school_search_eligible(self._light_account(uid), now)
-        ]
-        if len(eligible) <= self.search_result_cap:
-            return eligible
-        rng = random.Random(
-            (viewer_account_id * 1_000_003 + school_id) ^ self.search_salt
-        )
-        return sorted(rng.sample(eligible, self.search_result_cap))
-
-    def school_search(
-        self, viewer_account_id: int, school_id: int, offset: int = 0
-    ) -> Tuple[int, List[DirectoryEntry]]:
-        self.get_school(school_id)
-        self._check_uid(viewer_account_id)
-        pool = self._search_pool(viewer_account_id, school_id)
-        page = pool[offset : offset + self.search_page_size]
-        entries = [
-            DirectoryEntry(uid, self._display_name(uid)) for uid in page
-        ]
-        return len(pool), entries
-
-    def graph_search(
-        self, viewer_account_id: int, query: GraphSearchQuery
-    ) -> List[DirectoryEntry]:
-        self._check_uid(viewer_account_id)
-        if self.search_result_cap <= 0:
-            return []
-        now = self.clock.now_year
-        current_year = self.clock.current_year
-        results: List[DirectoryEntry] = []
-        for uid in self._school_member_ids(query.school_id):
-            account = self._light_account(uid)
-            if not self.policy.school_search_eligible(account, now):
-                continue
-            affiliation = self._affiliation_for(uid, query.school_id)
-            if affiliation is None:
-                continue
-            if query.current_students_only and not affiliation.is_current_student(
-                current_year
-            ):
-                continue
-            if query.year_op is not None:
-                if affiliation.graduation_year is None or query.year is None:
-                    continue
-                grad = affiliation.graduation_year
-                matches = {
-                    "in": grad == query.year,
-                    "after": grad > query.year,
-                    "before": grad < query.year,
-                }.get(query.year_op)
-                if matches is None:
-                    raise ValueError(f"bad year_op: {query.year_op!r}")
-                if not matches:
-                    continue
-            if (
-                query.current_city is not None
-                and self._current_city(uid) != query.current_city
-            ):
-                continue
-            results.append(DirectoryEntry(uid, self._display_name(uid)))
-            if len(results) >= self.search_result_cap:
-                break
-        return results
-
-    def _affiliation_for(
-        self, user_id: int, school_id: int
-    ) -> Optional[SchoolAffiliation]:
+    def affiliation_for(self, user_id: int, school_id: int) -> Optional[SchoolAffiliation]:
         world = self.world
         row = self._row(user_id)
         profiles = world.profiles
@@ -555,7 +317,7 @@ class ColumnarNetwork:
             graduation_year=cohort if cohort >= 0 else None,
         )
 
-    def _current_city(self, user_id: int) -> Optional[str]:
+    def current_city(self, user_id: int) -> Optional[str]:
         world = self.world
         row = self._row(user_id)
         profiles = world.profiles
@@ -568,60 +330,74 @@ class ColumnarNetwork:
             return None
         return world.cities.lookup(int(world.people.city_id[pid]))
 
+    def school_member_ids(self, school_id: int) -> List[int]:
+        return self._school_members.get(school_id, [])
+
     # ------------------------------------------------------------------
-    # Directory
+    # Storage surface: graph (CSR; overlay accounts are friendless)
+    # ------------------------------------------------------------------
+    def are_friends(self, a: int, b: int) -> bool:
+        if a in self._overlay or b in self._overlay:
+            return False
+        return self.world.are_friends(a, b)
+
+    def has_mutual_friend(self, a: int, b: int) -> bool:
+        if a in self._overlay or b in self._overlay:
+            return False
+        graph = self.world.csr
+        if graph is None:
+            raise RuntimeError(
+                f"tier {self.world.tier!r} is generation-only: no adjacency"
+            )
+        return graph.mutual_friend_count(self._row(a), self._row(b)) > 0
+
+    def friend_ids(self, user_id: int) -> List[int]:
+        if user_id in self._overlay:
+            return []
+        return self.world.friends(user_id)
+
+    def network_ids(self, user_id: int) -> Tuple[int, ...]:
+        """Interned ids of ``profile.networks`` (shared vocabulary)."""
+        if user_id in self._overlay:
+            return ()
+        profiles = self.world.profiles
+        if profiles is None:
+            return ()
+        row = self._row(user_id)
+        lo = int(profiles.networks_indptr[row])
+        hi = int(profiles.networks_indptr[row + 1])
+        return tuple(int(profiles.network_id[i]) for i in range(lo, hi))
+
+    # ------------------------------------------------------------------
+    # Policy verbs (repro.osn.network's module functions)
     # ------------------------------------------------------------------
     def get_school(self, school_id: int) -> School:
-        try:
-            return self.schools[school_id]
-        except KeyError:
-            raise NotFoundError(f"no such school: {school_id}") from None
+        return policy_path.get_school(self, school_id)
 
-    def find_school_by_name(self, name: str) -> Optional[School]:
-        lowered = name.lower()
-        for school in self.schools.values():
-            if school.name.lower() == lowered:
-                return school
-        return None
+    def relationship(self, viewer_id: Optional[int], target_id: int) -> Relationship:
+        return policy_path.relationship(self, viewer_id, target_id)
 
-    @property
-    def current_year(self) -> int:
-        return self.clock.current_year
+    def view_profile(self, viewer_id: Optional[int], target_id: int) -> ProfileView:
+        return policy_path.view_profile(self, viewer_id, target_id)
 
-    def is_registered_minor(self, user_id: int) -> bool:
-        return self.policy.is_registered_minor(
-            self._light_account(user_id), self.clock.now_year
-        )
+    def friend_page(
+        self, viewer_id: Optional[int], target_id: int, offset: int = 0
+    ) -> Tuple[int, List[DirectoryEntry]]:
+        return policy_path.friend_page(self, viewer_id, target_id, offset)
 
-    # ------------------------------------------------------------------
-    # Contact surfaces (POST-only; the one mutable service)
-    # ------------------------------------------------------------------
-    def can_message(self, sender_id: int, recipient_id: int) -> bool:
-        self._check_uid(recipient_id)
-        recipient = self._light_account(recipient_id)
-        rel = self.relationship(sender_id, recipient_id)
-        return self.policy.message_button_visible(
-            recipient, rel, self.clock.now_year
-        )
+    def school_search(
+        self, viewer_account_id: int, school_id: int, offset: int = 0
+    ) -> Tuple[int, List[DirectoryEntry]]:
+        return policy_path.school_search(self, viewer_account_id, school_id, offset)
+
+    def graph_search(self, viewer_account_id: int, query: GraphSearchQuery) -> List[DirectoryEntry]:
+        return policy_path.graph_search(self, viewer_account_id, query)
 
     def send_message(self, sender_id: int, recipient_id: int, text: str) -> Message:
-        self._check_uid(sender_id)
-        if not self.can_message(sender_id, recipient_id):
-            raise ForbiddenError(
-                f"user {sender_id} may not message user {recipient_id}"
-            )
-        message = Message(sender_id, recipient_id, text, self.clock.now_year)
-        self.contact.deliver_message(message)
-        return message
+        return policy_path.send_message(self, sender_id, recipient_id, text)
 
     def send_friend_request(self, sender_id: int, recipient_id: int) -> bool:
-        self._check_uid(sender_id)
-        self._check_uid(recipient_id)
-        if self._are_friends(sender_id, recipient_id):
-            return False
-        return self.contact.add_request(
-            FriendRequest(sender_id, recipient_id, self.clock.now_year)
-        )
+        return policy_path.send_friend_request(self, sender_id, recipient_id)
 
 
 def columnar_frontend(

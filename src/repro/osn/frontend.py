@@ -50,7 +50,7 @@ from .errors import (
     OsnError,
     RateLimitedError,
 )
-from .network import GraphSearchQuery, SocialNetwork
+from .network import YEAR_OPS, GraphSearchQuery, SocialNetwork
 from .ratelimit import RateLimitConfig, RateLimiter
 from .rendercache import CacheKey, RenderCache
 
@@ -251,8 +251,7 @@ class HtmlFrontend:
         version = network.version
         if path == "/find-friends/browser":
             school_id = self._int_param(params, "school")
-            offset = self._int_param(params, "offset", 0)
-            return ("search", account_id, school_id, offset, version)
+            return ("search", account_id, school_id, self._offset_param(params), version)
         if path == "/graphsearch":
             return (
                 "graphsearch",
@@ -268,8 +267,8 @@ class HtmlFrontend:
             if not network.reverse_lookup_enabled:
                 return None
             target_id = int(match.group(1))
+            offset = self._offset_param(params)
             rel = network.relationship(account_id, target_id)
-            offset = self._int_param(params, "offset", 0)
             return ("friends", target_id, rel, offset, version)
         match = _PROFILE_RE.match(path)
         if match:
@@ -303,7 +302,7 @@ class HtmlFrontend:
         self.limiter.check(account_id)
 
     def _authenticate(self, account_id: int) -> None:
-        account = self.network.users.get(account_id)
+        account = self.network.policy_account(account_id)
         if account is None:
             raise AuthenticationError(f"unknown session account {account_id}")
         if account.disabled:
@@ -324,15 +323,24 @@ class HtmlFrontend:
         except ValueError:
             raise BadRequestError(f"parameter {key!r} is not an integer: {raw!r}") from None
 
+    @classmethod
+    def _offset_param(cls, params: Mapping[str, str]) -> int:
+        offset = cls._int_param(params, "offset", 0)
+        if offset < 0:
+            raise BadRequestError(f"parameter 'offset' is negative: {offset}")
+        return offset
+
     def _find_friends(self, account_id: int, params: Mapping[str, str]) -> str:
         school_id = self._int_param(params, "school")
-        offset = self._int_param(params, "offset", 0)
+        offset = self._offset_param(params)
         total, entries = self.network.school_search(account_id, school_id, offset)
         return pages.render_search_page(total, offset, entries)
 
     def _graph_search(self, account_id: int, params: Mapping[str, str]) -> str:
         school_id = self._int_param(params, "school")
         year_op = params.get("year_op")
+        if year_op is not None and year_op not in YEAR_OPS:
+            raise BadRequestError(f"bad year_op: {year_op!r}")
         year = self._int_param(params, "year", -1) if "year" in params else None
         query = GraphSearchQuery(
             school_id=school_id,
@@ -349,7 +357,7 @@ class HtmlFrontend:
         return pages.render_profile_page(view)
 
     def _friends(self, account_id: int, target_id: int, params: Mapping[str, str]) -> str:
-        offset = self._int_param(params, "offset", 0)
+        offset = self._offset_param(params)
         total, entries = self.network.friend_page(account_id, target_id, offset)
         return pages.render_friends_page(target_id, total, offset, entries)
 

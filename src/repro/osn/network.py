@@ -1,36 +1,47 @@
 """The simulated Online Social Network.
 
-:class:`SocialNetwork` owns the account registry, the friendship graph,
-the school directory and the policy engine, and answers the only
-questions the outside world may ask:
+This module holds the site's one *policy read path*: module functions
+that answer the only questions the outside world may ask —
+``view_profile``, ``friend_page`` (one page of ``p = 20`` entries of a
+visible friend list, with the Section-8 reverse-lookup countermeasure
+when enabled), ``school_search`` (the Find Friends Portal: registered
+adults associated with a school, truncated per account, never minors)
+and ``graph_search`` (structured queries with the same minor
+exclusion), plus relationship classification and the contact verbs.
 
-* ``view_profile(viewer, target)`` — the policy-filtered profile view;
-* ``friend_page(viewer, target, offset)`` — one page (20 entries, the
-  paper's ``p = 20``) of a friend list, *if* it is visible, with the
-  Section-8 reverse-lookup countermeasure applied when enabled;
-* ``school_search(...)`` — the Find Friends Portal: registered adults
-  associated with a school, truncated per account, never minors;
-* ``graph_search(...)`` — structured queries ("current students at HS1
-  who live in city C"), with the same minor exclusion.
+Each function takes the network first and reads it only through a
+storage surface that two classes provide: :class:`SocialNetwork` here
+(account objects and a dict-of-sets graph) and
+:class:`~repro.colgen.serve.ColumnarNetwork` (flat columns and CSR).
+That surface is ``has_account``, ``policy_account`` (may be a
+policy-only view: exact settings and birthdays, sentinel profile),
+``get_account``, ``friend_ids``, ``are_friends``, ``has_mutual_friend``,
+``network_ids``, ``display_name``, ``affiliation_for``,
+``current_city`` and ``school_member_ids``, plus the ``policy``,
+``clock``, ``schools``, ``contact`` and ``_version`` attributes and the
+search/paging knobs.  Both classes keep their verbs as one-line
+delegations, and relationship classification is always dispatched
+through ``network.relationship`` so per-class instrumentation sees it.
 
 Everything the crawler does goes through the HTML frontend
-(``repro.osn.frontend``) which in turn calls these methods, so the
+(``repro.osn.frontend``) which in turn calls the networks' verbs, so the
 attack code can never accidentally peek at ground truth.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import SimClock
 from .errors import ForbiddenError, NotFoundError, RegistrationError
 from .graph import FriendGraph
 from .messaging import ContactService, FriendRequest, Message
 from .policy import SitePolicy, facebook_policy
-from .privacy import Audience, PrivacySettings, ProfileField, Relationship
-from .profile import Birthday, Profile
+from .privacy import PrivacySettings, ProfileField, Relationship
+from .profile import Birthday, Profile, SchoolAffiliation
 from .user import Account
 from .view import ProfileView, WallPostView
 
@@ -75,16 +86,81 @@ class GraphSearchQuery:
     current_students_only: bool = False
 
 
+#: Graph Search year operators: graduation year vs the query's year.
+YEAR_OPS: Dict[str, Callable[[int, int], bool]] = {
+    "in": operator.eq,
+    "after": operator.gt,
+    "before": operator.lt,
+}
+
+
+# ----------------------------------------------------------------------
+# The policy read path (``network``: either storage; see module doc)
+# ----------------------------------------------------------------------
+
+
+def version(network: Any) -> int:
+    """Monotone counter bumped on every page-visible world mutation.
+
+    The frontend's render cache keys every entry on this value, so a
+    bump invalidates all cached pages at once.  Mutating verbs bump
+    it automatically; code that mutates accounts *directly* (tests,
+    countermeasure sweeps flipping privacy settings in place) must
+    call :func:`bump_version` itself — that is the whole contract.
+    """
+    return network._version
+
+
+def bump_version(network: Any) -> None:
+    """Invalidate cached page renders after an out-of-band mutation."""
+    network._version += 1
+
+
+def get_school(network: Any, school_id: int) -> School:
+    try:
+        return network.schools[school_id]
+    except KeyError:
+        raise NotFoundError(f"no such school: {school_id}") from None
+
+
+def _require_account(network: Any, user_id: int) -> None:
+    if not network.has_account(user_id):
+        raise NotFoundError(f"no such user: {user_id}")
+
+
+def relationship(
+    network: Any, viewer_id: Optional[int], target_id: int
+) -> Relationship:
+    """The viewer's relationship to the target (paper, Section 3).
+
+    ``viewer_id=None`` models a logged-out visitor: a stranger.
+    """
+    if not network.has_account(target_id):
+        raise NotFoundError(f"no such user: {target_id}")
+    if viewer_id is None:
+        return Relationship.STRANGER
+    if viewer_id == target_id:
+        return Relationship.SELF
+    if not network.has_account(viewer_id):
+        raise NotFoundError(f"no such user: {viewer_id}")
+    if network.are_friends(viewer_id, target_id):
+        return Relationship.FRIEND
+    if network.has_mutual_friend(viewer_id, target_id):
+        return Relationship.FRIEND_OF_FRIEND
+    viewer_networks = network.network_ids(viewer_id)
+    if viewer_networks and not set(viewer_networks).isdisjoint(network.network_ids(target_id)):
+        return Relationship.NETWORK_MEMBER
+    return Relationship.STRANGER
+
+
 def render_profile_view(
     policy: SitePolicy, account: Account, rel: Relationship, now: float
 ) -> ProfileView:
     """Build the policy-filtered view of ``account`` for one viewer class.
 
-    Pure function of (policy, account, relationship, instant) — shared
-    by the object-world :class:`SocialNetwork` and the columnar serve
-    path (:mod:`repro.colgen.serve`), which is what makes the two
-    backends byte-identical: both render through this exact field
-    logic, then through the same HTML templates.
+    Pure function of (policy, account, relationship, instant); both
+    storages render through this exact field logic, then through the
+    same HTML templates, which is what makes them byte-identical.
     """
 
     def sees(field_: ProfileField) -> bool:
@@ -135,8 +211,193 @@ def render_profile_view(
     )
 
 
+def view_profile(
+    network: Any, viewer_id: Optional[int], target_id: int
+) -> ProfileView:
+    """Render ``target_id``'s profile as ``viewer_id`` sees it."""
+    account = network.get_account(target_id)
+    if account.disabled:
+        raise NotFoundError(f"account {target_id} is deactivated")
+    rel = network.relationship(viewer_id, target_id)
+    return render_profile_view(network.policy, account, rel, network.clock.now_year)
+
+
+def _friend_list_visible(network: Any, account: Account, rel: Relationship) -> bool:
+    return network.policy.field_visible_to(
+        account, ProfileField.FRIEND_LIST, rel, network.clock.now_year
+    )
+
+
+def friend_page(
+    network: Any, viewer_id: Optional[int], target_id: int, offset: int = 0
+) -> Tuple[int, List[DirectoryEntry]]:
+    """One page of ``target_id``'s friend list as seen by the viewer.
+
+    Returns ``(total_visible, entries)``.  Raises
+    :class:`ForbiddenError` when the list is not visible at all.
+
+    When ``reverse_lookup_enabled`` is ``False`` (the Section-8
+    countermeasure), a member is omitted from *other people's* friend
+    lists whenever their own friend list is hidden from this viewer —
+    so users who hide their list (and all registered minors) can no
+    longer be discovered through their friends' lists.
+    """
+    account = network.policy_account(target_id)
+    if account is None:
+        raise NotFoundError(f"no such user: {target_id}")
+    rel = network.relationship(viewer_id, target_id)
+    if not _friend_list_visible(network, account, rel):
+        raise ForbiddenError(f"friend list of {target_id} not visible")
+    friend_ids = network.friend_ids(target_id)
+    if not network.reverse_lookup_enabled:
+        friend_ids = _visible_in_friend_lists(network, viewer_id, friend_ids)
+    page = friend_ids[offset : offset + network.friends_page_size]
+    entries = [DirectoryEntry(fid, network.display_name(fid)) for fid in page]
+    return len(friend_ids), entries
+
+
+def _visible_in_friend_lists(
+    network: Any, viewer_id: Optional[int], member_ids: List[int]
+) -> List[int]:
+    """The countermeasure filter: members whose own friend list the
+    viewer may see, the only ones allowed to appear in friend lists."""
+    policy = network.policy
+    now = network.clock.now_year
+    visible: List[int] = []
+    for member_id in member_ids:
+        member = network.policy_account(member_id)
+        if member is None or member.disabled:
+            continue
+        rel = network.relationship(viewer_id, member_id)
+        if policy.field_visible_to(member, ProfileField.FRIEND_LIST, rel, now):
+            visible.append(member_id)
+    return visible
+
+
+def _search_pool(network: Any, viewer_account_id: int, school_id: int) -> List[int]:
+    """The truncated, per-account sample the Find Friends Portal serves.
+
+    Real Facebook returned only a few hundred results per search and
+    different (overlapping) result sets to different accounts — the
+    paper exploits this by searching from multiple fake accounts.  We
+    model it as a deterministic per-account shuffled sample of the
+    eligible users, capped at ``search_result_cap``; the sample depends
+    only on (viewer uid, school id, salt).
+    """
+    policy = network.policy
+    now = network.clock.now_year
+    eligible = [
+        uid
+        for uid in network.school_member_ids(school_id)
+        if policy.school_search_eligible(network.policy_account(uid), now)
+    ]
+    cap = network.search_result_cap
+    if len(eligible) <= cap:
+        return eligible
+    rng = random.Random((viewer_account_id * 1_000_003 + school_id) ^ network.search_salt)
+    return sorted(rng.sample(eligible, cap))
+
+
+def school_search(
+    network: Any, viewer_account_id: int, school_id: int, offset: int = 0
+) -> Tuple[int, List[DirectoryEntry]]:
+    """One page of Find-Friends-Portal results for a school.
+
+    Registered minors are *never* returned (the precaution the paper
+    verified with ground truth).  Returns ``(total, entries)``.
+    """
+    get_school(network, school_id)
+    _require_account(network, viewer_account_id)
+    pool = _search_pool(network, viewer_account_id, school_id)
+    page = pool[offset : offset + network.search_page_size]
+    entries = [DirectoryEntry(uid, network.display_name(uid)) for uid in page]
+    return len(pool), entries
+
+
+def graph_search(
+    network: Any, viewer_account_id: int, query: GraphSearchQuery
+) -> List[DirectoryEntry]:
+    """Structured search; same eligibility rules as the portal."""
+    _require_account(network, viewer_account_id)
+    year_matches = None
+    if query.year_op is not None:
+        year_matches = YEAR_OPS.get(query.year_op)
+        if year_matches is None:
+            raise ValueError(f"bad year_op: {query.year_op!r}")
+    cap = network.search_result_cap
+    if cap <= 0:
+        return []
+    policy = network.policy
+    now = network.clock.now_year
+    current_year = network.clock.current_year
+    results: List[DirectoryEntry] = []
+    for uid in network.school_member_ids(query.school_id):
+        if not policy.school_search_eligible(network.policy_account(uid), now):
+            continue
+        affiliation = network.affiliation_for(uid, query.school_id)
+        if affiliation is None:
+            continue
+        if query.current_students_only and not affiliation.is_current_student(
+            current_year
+        ):
+            continue
+        if year_matches is not None:
+            grad = affiliation.graduation_year
+            if grad is None or query.year is None or not year_matches(grad, query.year):
+                continue
+        if (
+            query.current_city is not None
+            and network.current_city(uid) != query.current_city
+        ):
+            continue
+        results.append(DirectoryEntry(uid, network.display_name(uid)))
+        if len(results) >= cap:
+            break
+    return results
+
+
+def can_message(network: Any, sender_id: int, recipient_id: int) -> bool:
+    """Whether the sender sees the recipient's Message button."""
+    recipient = network.policy_account(recipient_id)
+    if recipient is None:
+        raise NotFoundError(f"no such user: {recipient_id}")
+    rel = network.relationship(sender_id, recipient_id)
+    return network.policy.message_button_visible(recipient, rel, network.clock.now_year)
+
+
+def send_message(network: Any, sender_id: int, recipient_id: int, text: str) -> Message:
+    """Deliver a direct message, or raise :class:`ForbiddenError`.
+
+    The policy decides: strangers can never message registered
+    minors on Facebook, but *can* message the many minors whose
+    lied-about age makes them registered adults (Table 5's
+    'Message link' row).
+    """
+    _require_account(network, sender_id)
+    if not can_message(network, sender_id, recipient_id):
+        raise ForbiddenError(f"user {sender_id} may not message user {recipient_id}")
+    message = Message(sender_id, recipient_id, text, network.clock.now_year)
+    network.contact.deliver_message(message)
+    return message
+
+
+def send_friend_request(network: Any, sender_id: int, recipient_id: int) -> bool:
+    """Send a friend request (allowed toward anyone, even minors)."""
+    _require_account(network, sender_id)
+    _require_account(network, recipient_id)
+    if network.are_friends(sender_id, recipient_id):
+        return False
+    return network.contact.add_request(
+        FriendRequest(sender_id, recipient_id, network.clock.now_year)
+    )
+
+
 class SocialNetwork:
-    """A complete in-memory OSN with Facebook-like semantics."""
+    """A complete in-memory OSN with Facebook-like semantics.
+
+    Owns the account registry, the friendship graph and the school
+    directory; every read verb delegates to the module's policy path.
+    """
 
     def __init__(
         self,
@@ -168,23 +429,14 @@ class SocialNetwork:
         self._version = 0
 
     # ------------------------------------------------------------------
-    # World version (render-cache invalidation contract)
+    # World version (render-cache invalidation contract; see version())
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
-        """Monotone counter bumped on every page-visible world mutation.
-
-        The frontend's render cache keys every entry on this value, so a
-        bump invalidates all cached pages at once.  Mutating verbs bump
-        it automatically; code that mutates accounts *directly* (tests,
-        countermeasure sweeps flipping privacy settings in place) must
-        call :meth:`bump_version` itself — that is the whole contract.
-        """
-        return self._version
+        return version(self)
 
     def bump_version(self) -> None:
-        """Invalidate cached page renders after an out-of-band mutation."""
-        self._version += 1
+        bump_version(self)
 
     # ------------------------------------------------------------------
     # Directory management
@@ -199,17 +451,7 @@ class SocialNetwork:
         return school
 
     def get_school(self, school_id: int) -> School:
-        try:
-            return self.schools[school_id]
-        except KeyError:
-            raise NotFoundError(f"no such school: {school_id}") from None
-
-    def find_school_by_name(self, name: str) -> Optional[School]:
-        lowered = name.lower()
-        for school in self.schools.values():
-            if school.name.lower() == lowered:
-                return school
-        return None
+        return get_school(self, school_id)
 
     # ------------------------------------------------------------------
     # Accounts
@@ -275,12 +517,6 @@ class SocialNetwork:
             return self.policy.default_minor_settings
         return self.policy.default_adult_settings
 
-    def get_account(self, user_id: int) -> Account:
-        try:
-            return self.users[user_id]
-        except KeyError:
-            raise NotFoundError(f"no such user: {user_id}") from None
-
     def add_friendship(self, a: int, b: int) -> bool:
         """Create a (mutual) friendship between two existing accounts."""
         acct_a, acct_b = self.get_account(a), self.get_account(b)
@@ -291,99 +527,46 @@ class SocialNetwork:
             return True
         return False
 
-    def friend_count(self, user_id: int) -> int:
-        return self.graph.degree(user_id)
-
-    @property
-    def current_year(self) -> int:
-        return self.clock.current_year
-
     def is_registered_minor(self, user_id: int) -> bool:
         return self.policy.is_registered_minor(self.get_account(user_id), self.clock.now_year)
 
     # ------------------------------------------------------------------
-    # Viewer relationship
+    # Storage surface read by the policy path
     # ------------------------------------------------------------------
-    def relationship(self, viewer_id: Optional[int], target_id: int) -> Relationship:
-        """The viewer's relationship to the target (paper, Section 3).
+    def has_account(self, user_id: int) -> bool:
+        return user_id in self.users
 
-        ``viewer_id=None`` models a logged-out visitor: a stranger.
-        """
-        target = self.get_account(target_id)
-        if viewer_id is None:
-            return Relationship.STRANGER
-        if viewer_id == target_id:
-            return Relationship.SELF
-        viewer = self.get_account(viewer_id)
-        if self.graph.are_friends(viewer_id, target_id):
-            return Relationship.FRIEND
-        if self.graph.has_mutual_friend(viewer_id, target_id):
-            return Relationship.FRIEND_OF_FRIEND
-        if set(viewer.profile.networks) & set(target.profile.networks):
-            return Relationship.NETWORK_MEMBER
-        return Relationship.STRANGER
+    def policy_account(self, user_id: int) -> Optional[Account]:
+        return self.users.get(user_id)
 
-    # ------------------------------------------------------------------
-    # Profile views
-    # ------------------------------------------------------------------
-    def view_profile(self, viewer_id: Optional[int], target_id: int) -> ProfileView:
-        """Render ``target_id``'s profile as ``viewer_id`` sees it."""
-        account = self.get_account(target_id)
-        if account.disabled:
-            raise NotFoundError(f"account {target_id} is deactivated")
-        rel = self.relationship(viewer_id, target_id)
-        return render_profile_view(self.policy, account, rel, self.clock.now_year)
+    def get_account(self, user_id: int) -> Account:
+        try:
+            return self.users[user_id]
+        except KeyError:
+            raise NotFoundError(f"no such user: {user_id}") from None
 
-    def _friend_list_visible(self, account: Account, rel: Relationship) -> bool:
-        return self.policy.field_visible_to(
-            account, ProfileField.FRIEND_LIST, rel, self.clock.now_year
-        )
+    def friend_ids(self, user_id: int) -> List[int]:
+        return self.graph.neighbors_list(user_id)
 
-    # ------------------------------------------------------------------
-    # Friend lists (paginated; reverse-lookup countermeasure lives here)
-    # ------------------------------------------------------------------
-    def friend_page(
-        self, viewer_id: Optional[int], target_id: int, offset: int = 0
-    ) -> Tuple[int, List[DirectoryEntry]]:
-        """One page of ``target_id``'s friend list as seen by the viewer.
+    def are_friends(self, a: int, b: int) -> bool:
+        return self.graph.are_friends(a, b)
 
-        Returns ``(total_visible, entries)``.  Raises
-        :class:`ForbiddenError` when the list is not visible at all.
+    def has_mutual_friend(self, a: int, b: int) -> bool:
+        return self.graph.has_mutual_friend(a, b)
 
-        When ``reverse_lookup_enabled`` is ``False`` (the Section-8
-        countermeasure), a member is omitted from *other people's* friend
-        lists whenever their own friend list is hidden from this viewer —
-        so users who hide their list (and all registered minors) can no
-        longer be discovered through their friends' lists.
-        """
-        account = self.get_account(target_id)
-        rel = self.relationship(viewer_id, target_id)
-        if not self._friend_list_visible(account, rel):
-            raise ForbiddenError(f"friend list of {target_id} not visible")
-        friend_ids = self.graph.neighbors_list(target_id)
-        if not self.reverse_lookup_enabled:
-            friend_ids = [
-                fid for fid in friend_ids if self._visible_in_friend_lists(viewer_id, fid)
-            ]
-        total = len(friend_ids)
-        page = friend_ids[offset : offset + self.friends_page_size]
-        entries = [
-            DirectoryEntry(fid, self.users[fid].profile.name.full) for fid in page
-        ]
-        return total, entries
+    def network_ids(self, user_id: int) -> Tuple[str, ...]:
+        return self.users[user_id].profile.networks
 
-    def _visible_in_friend_lists(self, viewer_id: Optional[int], member_id: int) -> bool:
-        """Countermeasure predicate: may ``member_id`` appear in friend lists?"""
-        member = self.users.get(member_id)
-        if member is None or member.disabled:
-            return False
-        rel = self.relationship(viewer_id, member_id)
-        return self._friend_list_visible(member, rel)
+    def display_name(self, user_id: int) -> str:
+        return self.users[user_id].profile.name.full
 
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def _school_member_ids(self, school_id: int) -> List[int]:
+    def affiliation_for(self, user_id: int, school_id: int) -> Optional[SchoolAffiliation]:
+        return self.users[user_id].profile.affiliation_for(school_id)
+
+    def current_city(self, user_id: int) -> Optional[str]:
+        return self.users[user_id].profile.current_city
+
+    def school_member_ids(self, school_id: int) -> List[int]:
         """All user ids whose profile lists ``school_id`` (any audience).
 
         Pure read: the index is maintained eagerly at registration time
@@ -392,122 +575,33 @@ class SocialNetwork:
         """
         return self._school_members.get(school_id, [])
 
-    def _search_pool(self, viewer_account_id: int, school_id: int) -> List[int]:
-        """The truncated, per-account sample the Find Friends Portal serves.
+    # ------------------------------------------------------------------
+    # Policy verbs (the module functions above)
+    # ------------------------------------------------------------------
+    def relationship(self, viewer_id: Optional[int], target_id: int) -> Relationship:
+        return relationship(self, viewer_id, target_id)
 
-        Real Facebook returned only a few hundred results per search and
-        different (overlapping) result sets to different accounts — the
-        paper exploits this by searching from multiple fake accounts.  We
-        model it as a deterministic per-account shuffled sample of the
-        eligible users, capped at ``search_result_cap``.
-        """
-        now = self.clock.now_year
-        eligible = [
-            uid
-            for uid in self._school_member_ids(school_id)
-            if self.policy.school_search_eligible(self.users[uid], now)
-        ]
-        if len(eligible) <= self.search_result_cap:
-            return eligible
-        rng = random.Random((viewer_account_id * 1_000_003 + school_id) ^ self.search_salt)
-        return sorted(rng.sample(eligible, self.search_result_cap))
+    def view_profile(self, viewer_id: Optional[int], target_id: int) -> ProfileView:
+        return view_profile(self, viewer_id, target_id)
+
+    def friend_page(
+        self, viewer_id: Optional[int], target_id: int, offset: int = 0
+    ) -> Tuple[int, List[DirectoryEntry]]:
+        return friend_page(self, viewer_id, target_id, offset)
 
     def school_search(
         self, viewer_account_id: int, school_id: int, offset: int = 0
     ) -> Tuple[int, List[DirectoryEntry]]:
-        """One page of Find-Friends-Portal results for a school.
+        return school_search(self, viewer_account_id, school_id, offset)
 
-        Registered minors are *never* returned (the precaution the paper
-        verified with ground truth).  Returns ``(total, entries)``.
-        """
-        self.get_school(school_id)
-        self.get_account(viewer_account_id)
-        pool = self._search_pool(viewer_account_id, school_id)
-        page = pool[offset : offset + self.search_page_size]
-        entries = [
-            DirectoryEntry(uid, self.users[uid].profile.name.full) for uid in page
-        ]
-        return len(pool), entries
-
-    def graph_search(
-        self, viewer_account_id: int, query: GraphSearchQuery
-    ) -> List[DirectoryEntry]:
-        """Structured search; same eligibility rules as the portal."""
-        self.get_account(viewer_account_id)
-        if self.search_result_cap <= 0:
-            return []
-        now = self.clock.now_year
-        current_year = self.clock.current_year
-        results: List[DirectoryEntry] = []
-        for uid in self._school_member_ids(query.school_id):
-            account = self.users[uid]
-            if not self.policy.school_search_eligible(account, now):
-                continue
-            affiliation = account.profile.affiliation_for(query.school_id)
-            if affiliation is None:
-                continue
-            if query.current_students_only and not affiliation.is_current_student(
-                current_year
-            ):
-                continue
-            if query.year_op is not None:
-                if affiliation.graduation_year is None or query.year is None:
-                    continue
-                grad = affiliation.graduation_year
-                matches = {
-                    "in": grad == query.year,
-                    "after": grad > query.year,
-                    "before": grad < query.year,
-                }.get(query.year_op)
-                if matches is None:
-                    raise ValueError(f"bad year_op: {query.year_op!r}")
-                if not matches:
-                    continue
-            if (
-                query.current_city is not None
-                and account.profile.current_city != query.current_city
-            ):
-                continue
-            results.append(DirectoryEntry(uid, account.profile.name.full))
-            if len(results) >= self.search_result_cap:
-                break
-        return results
-
-    # ------------------------------------------------------------------
-    # Contact surfaces (messages and friend requests; Section 2 threats)
-    # ------------------------------------------------------------------
-    def can_message(self, sender_id: int, recipient_id: int) -> bool:
-        """Whether the sender sees the recipient's Message button."""
-        recipient = self.get_account(recipient_id)
-        rel = self.relationship(sender_id, recipient_id)
-        return self.policy.message_button_visible(recipient, rel, self.clock.now_year)
+    def graph_search(self, viewer_account_id: int, query: GraphSearchQuery) -> List[DirectoryEntry]:
+        return graph_search(self, viewer_account_id, query)
 
     def send_message(self, sender_id: int, recipient_id: int, text: str) -> Message:
-        """Deliver a direct message, or raise :class:`ForbiddenError`.
-
-        The policy decides: strangers can never message registered
-        minors on Facebook, but *can* message the many minors whose
-        lied-about age makes them registered adults (Table 5's
-        'Message link' row).
-        """
-        self.get_account(sender_id)
-        if not self.can_message(sender_id, recipient_id):
-            raise ForbiddenError(
-                f"user {sender_id} may not message user {recipient_id}"
-            )
-        message = Message(sender_id, recipient_id, text, self.clock.now_year)
-        self.contact.deliver_message(message)
-        return message
+        return send_message(self, sender_id, recipient_id, text)
 
     def send_friend_request(self, sender_id: int, recipient_id: int) -> bool:
-        """Send a friend request (allowed toward anyone, even minors)."""
-        self.get_account(sender_id)
-        self.get_account(recipient_id)
-        if self.graph.are_friends(sender_id, recipient_id):
-            return False
-        return self.contact.add_request(
-            FriendRequest(sender_id, recipient_id, self.clock.now_year)
-        )
+        return send_friend_request(self, sender_id, recipient_id)
 
     def respond_to_friend_request(
         self, recipient_id: int, sender_id: int, accept: bool

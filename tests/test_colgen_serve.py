@@ -14,7 +14,7 @@ import pytest
 
 from repro.colgen import encode_world, generate
 from repro.colgen.serve import columnar_frontend, frontend_for_object_world
-from repro.osn.errors import ForbiddenError, NotFoundError, OsnError
+from repro.osn.errors import BadRequestError, ForbiddenError, NotFoundError, OsnError
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.pages import parse_profile_page, parse_search_page
 from repro.osn.policy import policy_by_name
@@ -23,8 +23,7 @@ from repro.worldgen.presets import tiny
 from repro.worldgen.world import build_world
 
 
-@pytest.fixture(scope="module")
-def serve_pair():
+def _serve_pair(reverse_lookup_enabled):
     """(world, object frontend, columnar frontend, viewer uids).
 
     The attacker accounts are registered *before* encoding, so both
@@ -32,6 +31,7 @@ def serve_pair():
     rate limiter, keeping the walk politeness-free.
     """
     world = build_world(tiny(seed=13))
+    world.network.reverse_lookup_enabled = reverse_lookup_enabled
     viewers = world.create_attacker_accounts(2)
     # Effectively unlimited: the walk makes thousands of unpaced GETs,
     # and a tripped limiter would make the comparison vacuous (both
@@ -47,17 +47,21 @@ def serve_pair():
         friends_page_size=config.osn.friends_page_size,
         search_salt=config.seed,
         rate_limit=no_limit,
+        reverse_lookup_enabled=reverse_lookup_enabled,
     )
     return world, object_fe, columnar_fe, viewers
+
+
+@pytest.fixture(scope="module")
+def serve_pair():
+    return _serve_pair(reverse_lookup_enabled=True)
 
 
 def outcome(frontend, viewer, path, params=None):
     """The page, or the error as a comparable (type name, message)."""
     try:
         return frontend.get(viewer, path, params)
-    except (OsnError, ValueError) as exc:
-        # ValueError: bad structured-search operators raise it verbatim
-        # on both serving paths (it is not an HTTP-surface error).
+    except OsnError as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -146,6 +150,48 @@ class TestByteIdentity:
         ]
         for params in queries:
             assert_identical(serve_pair, viewers[0], "/graphsearch", params)
+
+
+class TestByteIdentityUnderCountermeasure(TestByteIdentity):
+    """The same sweep with the Section-8 countermeasure on.
+
+    With reverse lookup disabled, friend lists drop every member whose
+    own list is hidden from the viewer; both storages must agree on
+    that filter member by member.
+    """
+
+    @pytest.fixture(scope="class")
+    def serve_pair(self):
+        return _serve_pair(reverse_lookup_enabled=False)
+
+
+class TestBadRequests:
+    """Malformed queries are rejected before any storage is read."""
+
+    @pytest.mark.parametrize("school", ["populated", "empty"])
+    def test_unknown_year_op(self, serve_pair, school):
+        world, object_fe, columnar_fe, viewers = serve_pair
+        school_id = world.school().school_id if school == "populated" else 999
+        params = {"school": str(school_id), "year_op": "bogus", "year": "2000"}
+        for frontend in (object_fe, columnar_fe):
+            with pytest.raises(BadRequestError, match="bad year_op"):
+                frontend.get(viewers[0], "/graphsearch", params)
+
+    @pytest.mark.parametrize("storage", ["object", "columnar"])
+    def test_negative_offset(self, serve_pair, storage):
+        world, object_fe, columnar_fe, viewers = serve_pair
+        frontend = object_fe if storage == "object" else columnar_fe
+        school_id = world.school().school_id
+        target = next(
+            uid for uid in sorted(world.network.users) if world.network.users[uid].friend_ids
+        )
+        routes = (
+            ("/find-friends/browser", {"school": str(school_id), "offset": "-30"}),
+            (f"/profile/{target}/friends", {"offset": "-30"}),
+        )
+        for path, params in routes:
+            with pytest.raises(BadRequestError, match="negative"):
+                frontend.get(viewers[0], path, params)
 
 
 class TestPostParity:

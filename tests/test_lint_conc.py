@@ -11,9 +11,16 @@ tests pin the effect propagation, not just the per-function scan.
 
 from __future__ import annotations
 
+import os
 import textwrap
 
+import pytest
+
 from repro.lint import LintCache, all_rules, lint_paths, rule_signature
+from repro.lint.conc.effects import analysis_for
+from repro.lint.scale.entries import serve_entries
+
+PACKAGE_ROOT = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
 
 def _rules(*ids):
@@ -419,3 +426,47 @@ class TestConcCache:
         )
         assert warm.files_reparsed == 1
         assert warm.cache_hits == warm.files_checked - 1
+
+
+# ----------------------------------------------------------------------
+# Coverage of the shipped policy read path
+# ----------------------------------------------------------------------
+
+#: The shared policy functions in repro.osn.network that both storages
+#: delegate to.  If a refactor routes calls around the call graph (say,
+#: through inheritance or class-body aliases, which resolution does not
+#: follow), these silently drop out of PURE001 and SCALE coverage.
+POLICY_READ_PATH = (
+    "relationship",
+    "view_profile",
+    "friend_page",
+    "_visible_in_friend_lists",
+    "_search_pool",
+    "school_search",
+    "graph_search",
+)
+
+
+@pytest.fixture(scope="module")
+def shipped_index():
+    report = lint_paths([PACKAGE_ROOT], rules=_rules("PURE001"), keep_index=True)
+    assert report.index is not None
+    return report.index
+
+
+class TestSharedPolicyPathCoverage:
+    def test_pure001_reaches_it_from_the_frontend_read_entry(self, shipped_index):
+        reached = analysis_for(shipped_index).reachable_from(
+            ["repro.osn.frontend:HtmlFrontend.get"]
+        )
+        for name in POLICY_READ_PATH:
+            assert f"repro.osn.network:{name}" in reached, name
+
+    def test_scale_serve_entries_reach_it_from_columnar_verbs(self, shipped_index):
+        entries = {fqn for _, fqn in serve_entries(shipped_index)}
+        verbs = ("view_profile", "friend_page", "school_search", "graph_search")
+        roots = [f"repro.colgen.serve:ColumnarNetwork.{verb}" for verb in verbs]
+        assert set(roots) <= entries
+        reached = analysis_for(shipped_index).reachable_from(roots)
+        for name in POLICY_READ_PATH:
+            assert f"repro.osn.network:{name}" in reached, name
