@@ -40,7 +40,7 @@ from .errors import ForbiddenError, NotFoundError, RegistrationError
 from .graph import FriendGraph
 from .messaging import ContactService, FriendRequest, Message
 from .policy import SitePolicy, facebook_policy
-from .privacy import PrivacySettings, ProfileField, Relationship
+from .privacy import Audience, PrivacySettings, ProfileField, Relationship
 from .profile import Birthday, Profile, SchoolAffiliation
 from .user import Account
 from .view import ProfileView, WallPostView
@@ -234,7 +234,9 @@ def friend_page(
     """One page of ``target_id``'s friend list as seen by the viewer.
 
     Returns ``(total_visible, entries)``.  Raises
-    :class:`ForbiddenError` when the list is not visible at all.
+    :class:`NotFoundError` for a missing or deactivated account (as
+    :func:`view_profile` does) and :class:`ForbiddenError` when the
+    list is not visible at all.
 
     When ``reverse_lookup_enabled`` is ``False`` (the Section-8
     countermeasure), a member is omitted from *other people's* friend
@@ -245,6 +247,8 @@ def friend_page(
     account = network.policy_account(target_id)
     if account is None:
         raise NotFoundError(f"no such user: {target_id}")
+    if account.disabled:
+        raise NotFoundError(f"account {target_id} is deactivated")
     rel = network.relationship(viewer_id, target_id)
     if not _friend_list_visible(network, account, rel):
         raise ForbiddenError(f"friend list of {target_id} not visible")
@@ -260,7 +264,14 @@ def _visible_in_friend_lists(
     network: Any, viewer_id: Optional[int], member_ids: List[int]
 ) -> List[int]:
     """The countermeasure filter: members whose own friend list the
-    viewer may see, the only ones allowed to appear in friend lists."""
+    viewer may see, the only ones allowed to appear in friend lists.
+
+    Each member is decided by their effective friend-list audience
+    first; the viewer is classified only when that audience is
+    FRIENDS or FRIENDS_OF_FRIENDS.  A PUBLIC list is visible to every
+    viewer and an ONLY_ME list to the member alone (SELF satisfies
+    every audience), so neither needs a relationship.
+    """
     policy = network.policy
     now = network.clock.now_year
     visible: List[int] = []
@@ -268,8 +279,14 @@ def _visible_in_friend_lists(
         member = network.policy_account(member_id)
         if member is None or member.disabled:
             continue
-        rel = network.relationship(viewer_id, member_id)
-        if policy.field_visible_to(member, ProfileField.FRIEND_LIST, rel, now):
+        audience = policy.effective_audience(member, ProfileField.FRIEND_LIST, now)
+        if audience is Audience.PUBLIC:
+            shown = True
+        elif audience is Audience.ONLY_ME:
+            shown = viewer_id == member_id
+        else:
+            shown = network.relationship(viewer_id, member_id).satisfies(audience)
+        if shown:
             visible.append(member_id)
     return visible
 

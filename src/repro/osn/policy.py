@@ -100,13 +100,17 @@ class SitePolicy:
         minors the site caps every field: fields outside
         ``minor_stranger_cap`` can never reach strangers, so their
         effective audience is at most ``minor_nonstranger_cap_audience``.
+        The age is computed only when the cap could bind: a chosen
+        audience within the cap, or a field outside its reach, stands
+        for minors and adults alike.
         """
         chosen = account.settings.audience_for(field_)
-        if not self.is_registered_minor(account, now_year):
+        cap = self.minor_nonstranger_cap_audience
+        if chosen <= cap or field_ in self.minor_stranger_cap:
             return chosen
-        if field_ in self.minor_stranger_cap:
-            return chosen
-        return min(chosen, self.minor_nonstranger_cap_audience)
+        if self.is_registered_minor(account, now_year):
+            return cap
+        return chosen
 
     def field_visible_to(
         self,

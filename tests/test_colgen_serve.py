@@ -10,15 +10,19 @@ crawl's parsed result set must equal the object crawl's exactly.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.colgen import encode_world, generate
 from repro.colgen.serve import columnar_frontend, frontend_for_object_world
 from repro.osn.errors import BadRequestError, ForbiddenError, NotFoundError, OsnError
 from repro.osn.frontend import HtmlFrontend
-from repro.osn.pages import parse_profile_page, parse_search_page
+from repro.osn.pages import parse_friends_page, parse_profile_page, parse_search_page
 from repro.osn.policy import policy_by_name
+from repro.osn.privacy import Audience, ProfileField
 from repro.osn.ratelimit import RateLimitConfig
+from repro.osn.rendercache import RenderCache
 from repro.worldgen.presets import tiny
 from repro.worldgen.world import build_world
 
@@ -238,6 +242,52 @@ class TestSessionAccounts:
         page = columnar_fe.get(viewers[0], f"/profile/{viewers[1]}")
         view = parse_profile_page(page)
         assert view.is_minimal()
+
+
+class TestDeactivatedAccount:
+    """A deactivated account's friend list is gone, like its profile,
+    on both storages and whether or not a render cache is attached."""
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("storage", ["object", "columnar"])
+    def test_friend_list_not_found(self, storage, cached):
+        world = build_world(tiny(seed=13))
+        viewer = world.create_attacker_accounts(1)[0]
+        net = world.network
+        now = net.clock.now_year
+        target = next(
+            uid
+            for uid in sorted(net.users)
+            if net.users[uid].friend_ids
+            and net.policy.effective_audience(net.users[uid], ProfileField.FRIEND_LIST, now)
+            is Audience.PUBLIC
+        )
+        cache = RenderCache() if cached else None
+        if storage == "object":
+            frontend = HtmlFrontend(net, cache=cache)
+        else:
+            frontend = frontend_for_object_world(world, cache=cache)
+        friends = f"/profile/{target}/friends"
+        assert parse_friends_page(frontend.get(viewer, friends)).total > 0
+
+        served = frontend.network
+        if storage == "object":
+            net.users[target].disabled = True
+        else:
+            # The columns carry no deactivation flag: lay a deactivated
+            # copy of the account over them.
+            served._overlay[target] = replace(served.get_account(target), disabled=True)
+        served.bump_version()
+
+        with pytest.raises(NotFoundError, match="deactivated"):
+            frontend.get(viewer, f"/profile/{target}")
+        stored = len(cache) if cached else 0
+        with pytest.raises(NotFoundError, match="deactivated"):
+            frontend.get(viewer, friends)
+        if cached:
+            # With reverse lookup on, the friends key is computed and
+            # looked up first, but the failed render stores nothing.
+            assert len(cache) == stored
 
 
 class TestNativeTier:

@@ -158,6 +158,20 @@ class TestFriendPages:
         # the alumnus (public list) is still visible
         assert accounts["alumnus"].user_id in member_ids
 
+    @pytest.mark.parametrize("reverse_lookup", [True, False])
+    def test_deactivated_account_list_not_found(self, school_network, reverse_lookup):
+        """Deactivation removes the friend list along with the profile."""
+        net, _, accounts = school_network
+        net.reverse_lookup_enabled = reverse_lookup
+        alumnus = accounts["alumnus"]
+        assert net.friend_page(None, alumnus.user_id)[0] > 0
+        alumnus.disabled = True
+        for viewer in (accounts["crawler"].user_id, alumnus.user_id, None):
+            with pytest.raises(NotFoundError, match="deactivated"):
+                net.view_profile(viewer, alumnus.user_id)
+            with pytest.raises(NotFoundError, match="deactivated"):
+                net.friend_page(viewer, alumnus.user_id)
+
 
 class TestSchoolSearch:
     def test_search_excludes_registered_minors(self, school_network):

@@ -99,6 +99,42 @@ class TestFacebookMinorCaps:
         )
 
 
+class TestEffectiveAudience:
+    """Every (policy, field, chosen audience, registered age) against
+    the cap formula: ``chosen`` for adults and for fields a minor may
+    show strangers, else ``min(chosen, cap)``."""
+
+    @pytest.mark.parametrize("make_policy", [facebook_policy, googleplus_policy])
+    @pytest.mark.parametrize(
+        "registered, is_minor",
+        [
+            (Birthday(1997), True),
+            (Birthday(1985), False),
+            (Birthday(1994, 0.25), False),  # turns 18 exactly at NOW
+        ],
+        ids=["minor", "adult", "exactly-18"],
+    )
+    def test_matches_cap_formula(self, make_policy, registered, is_minor):
+        policy = make_policy()
+        cap = policy.minor_nonstranger_cap_audience
+        for field_ in ProfileField:
+            for chosen in Audience:
+                account = Account(
+                    user_id=1,
+                    profile=Profile(name=Name("Test", "User")),
+                    registered_birthday=registered,
+                    real_birthday=registered,
+                    settings=PrivacySettings(audiences={field_: chosen}),
+                )
+                assert policy.is_registered_minor(account, NOW) is is_minor
+                if not is_minor or field_ in policy.minor_stranger_cap:
+                    expected = chosen
+                else:
+                    expected = min(chosen, cap)
+                actual = policy.effective_audience(account, field_, NOW)
+                assert actual is expected, (field_, chosen)
+
+
 class TestMessageButton:
     def test_stranger_never_messages_minor(self):
         policy = facebook_policy()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.osn.clock import SimClock
 from repro.osn.network import SocialNetwork
+from repro.osn.policy import facebook_policy, googleplus_policy
 from repro.osn.privacy import Audience, PrivacySettings, ProfileField
 from repro.osn.profile import Birthday, ContactInfo, Name, Profile, SchoolAffiliation
 
@@ -90,6 +91,104 @@ class TestMinorInvariants:
             assert view.contact_email is None
         if not settings_obj.audience_for(ProfileField.BIRTHDAY) == Audience.PUBLIC:
             assert view.birthday_year is None
+
+
+#: Registered birthdays at March 2012: a registered minor, an adult, and
+#: an account turning 18 exactly then (an adult: minors are under 18).
+REGISTERED_BIRTHDAYS = (Birthday(1997), Birthday(1985), Birthday(1994, 0.25))
+
+#: Per listed member: FRIEND_LIST setting, registered birthday,
+#: deactivated, and whether they share the network viewer's network.
+member_strategy = st.tuples(
+    audiences, st.sampled_from(REGISTERED_BIRTHDAYS), st.booleans(), st.booleans()
+)
+
+
+@st.composite
+def countermeasure_worlds(draw):
+    """(policy, members, member-member edges, members the friend viewer
+    befriends, members the friend-of-friend viewer's bridge befriends)."""
+    policy = draw(st.sampled_from([facebook_policy, googleplus_policy]))()
+    members = draw(st.lists(member_strategy, min_size=1, max_size=7))
+    index = st.integers(0, len(members) - 1)
+    edges = draw(st.lists(st.tuples(index, index), max_size=8))
+    return policy, members, edges, draw(st.sets(index)), draw(st.sets(index))
+
+
+def build_countermeasure_net(policy, members, edges, befriended, bridged):
+    """A countermeasure network: an adult target with a public friend
+    list over the drawn members, plus one viewer of each kind.
+
+    Returns ``(network, target uid, viewers)``; the viewers are a
+    friend, a friend of a friend, a network member, a stranger, a
+    logged-out visitor (``None``) and every listed member itself.
+    """
+    net = SocialNetwork(
+        policy,
+        SimClock(now_year=2012.25),
+        reverse_lookup_enabled=False,
+        friends_page_size=3,
+    )
+
+    def account(name, birthday=Birthday(1985), audience=Audience.PUBLIC, networks=()):
+        return net.register_account(
+            profile=Profile(name=Name(name, "User"), networks=networks),
+            registered_birthday=birthday,
+            settings=PrivacySettings(audiences={ProfileField.FRIEND_LIST: audience}),
+            enforce_minimum_age=False,
+        ).user_id
+
+    target = account("Target")
+    member_ids = []
+    for i, (audience, birthday, deactivated, networked) in enumerate(members):
+        uid = account(f"Member{i}", birthday, audience, ("Net",) if networked else ())
+        net.users[uid].disabled = deactivated
+        net.add_friendship(target, uid)
+        member_ids.append(uid)
+    for a, b in edges:
+        if a != b:
+            net.add_friendship(member_ids[a], member_ids[b])
+    friend = account("Friend")
+    for i in befriended:
+        net.add_friendship(friend, member_ids[i])
+    bridge, friend_of_friend = account("Bridge"), account("Fof")
+    net.add_friendship(friend_of_friend, bridge)
+    for i in bridged:
+        net.add_friendship(bridge, member_ids[i])
+    network_member = account("Networked", networks=("Net",))
+    stranger = account("Stranger")
+    viewers = [friend, friend_of_friend, network_member, stranger, None, *member_ids]
+    return net, target, viewers
+
+
+def classify_every_member(net, viewer_id, member_ids):
+    """Reference countermeasure filter: classify the viewer against
+    every member, then ask the policy about that member's list."""
+    now = net.clock.now_year
+    visible = []
+    for member_id in member_ids:
+        member = net.policy_account(member_id)
+        if member is None or member.disabled:
+            continue
+        rel = net.relationship(viewer_id, member_id)
+        if net.policy.field_visible_to(member, ProfileField.FRIEND_LIST, rel, now):
+            visible.append(member_id)
+    return visible
+
+
+class TestCountermeasureFilter:
+    @given(countermeasure_worlds())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_classify_every_member(self, world):
+        net, target, viewers = build_countermeasure_net(*world)
+        page_size = net.friends_page_size
+        listed = net.friend_ids(target)
+        for viewer in viewers:
+            expected = classify_every_member(net, viewer, listed)
+            for offset in range(len(listed) + 2):
+                total, entries = net.friend_page(viewer, target, offset)
+                assert total == len(expected)
+                assert [e.user_id for e in entries] == expected[offset : offset + page_size]
 
 
 class TestWorldInvariants:
