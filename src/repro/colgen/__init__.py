@@ -16,7 +16,7 @@ Entry points:
 """
 
 from .backend import ColgenDependencyError, HAS_NUMPY
-from .bench import bench_worldgen, peak_rss_bytes, write_bench_json
+from .bench import bench_worldgen, write_bench_json
 from .columns import (
     AccountColumns,
     ColumnarWorld,
@@ -65,7 +65,6 @@ __all__ = [
     "session_accounts",
     "generate",
     "pack_privacy",
-    "peak_rss_bytes",
     "person_view",
     "tier",
     "unpack_privacy",

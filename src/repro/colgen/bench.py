@@ -14,15 +14,12 @@ from __future__ import annotations
 import platform
 from typing import Any, Dict, Optional
 
-# Shared with the rest of the perf trajectory; re-exported here so
-# existing ``from repro.colgen.bench import peak_rss_bytes`` callers
-# keep working.
-from repro.perf.record import _RSS_UNIT, atomic_write_json, peak_rss_bytes
+from repro.perf.record import atomic_write_json, peak_rss_bytes
 
 from .backend import HAS_NUMPY
 from .generate import generate
 
-__all__ = ["_RSS_UNIT", "bench_worldgen", "peak_rss_bytes", "write_bench_json"]
+__all__ = ["bench_worldgen", "write_bench_json"]
 
 
 def bench_worldgen(

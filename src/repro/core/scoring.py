@@ -25,7 +25,9 @@ it keeps the ranking sane.  Set it to 1 for the literal Eq. 2.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .coreset import CoreSet
@@ -119,34 +121,37 @@ def score_candidates(
     """
     if denominator_floor < 1:
         raise ValueError("denominator_floor must be at least 1")
+    years = core.years
     by_year = core.core_by_year()
     sizes = {
         year: max(len(uids), denominator_floor) if uids else 0
         for year, uids in by_year.items()
     }
-    owner_year = dict(core.core)
-    index = reverse_lookup_index(core.friend_lists)
+    # One pass over the crawled lists: each owner adds its distinct
+    # friends to its class year's tally, so |G_i(u)| = tallies[i][u]
+    # without building the Eq. 1 owner set of every candidate.
+    tallies: Dict[int, Counter] = {year: Counter() for year in years}
+    for owner, friends in core.friend_lists.items():
+        tally = tallies.get(core.core.get(owner))
+        if tally is not None:
+            tally.update(set(friends))
     table = ScoreTable(rule=rule)
 
-    for uid, owners in index.items():
+    # Candidates in first-appearance order across the lists.
+    for uid in dict.fromkeys(chain.from_iterable(core.friend_lists.values())):
         if uid in core.core:
             continue
-        counts: Dict[int, int] = {year: 0 for year in core.years}
-        for owner in owners:
-            year = owner_year.get(owner)
-            if year in counts:
-                counts[year] += 1
+        counts = {year: tallies[year].get(uid, 0) for year in years}
         fractions = {
-            year: (counts[year] / sizes[year]) if sizes.get(year) else 0.0
-            for year in core.years
+            year: (counts[year] / sizes[year]) if sizes[year] else 0.0
+            for year in years
         }
-        best_year = _argmax_year(fractions, counts)
         table.scores[uid] = CandidateScore(
             uid=uid,
             counts=counts,
             fractions=fractions,
             score=_fold(rule, fractions, counts),
-            year=best_year,
+            year=_argmax_year(fractions, counts),
         )
     return table
 

@@ -1,10 +1,13 @@
 """Undirected friendship graph.
 
 A thin, fast adjacency structure (dict of sets) with the handful of
-queries the simulator and the attack need: neighbourhoods, mutual
-friends, and degree statistics.  We deliberately avoid networkx here —
-the hot loops (reverse lookup over tens of thousands of candidates) want
-plain set operations.
+queries the simulator needs: neighbourhoods, mutual friends, and degree
+statistics.  It is the object world's only friendship store; accounts
+keep no friend sets of their own.  We deliberately avoid networkx here —
+the serving hot loops (a sorted friend list per page, a membership or
+mutual-friend test per relationship classification) want plain set
+operations.  The attack's reverse lookup never touches this graph: it
+runs over crawled friend lists in :mod:`repro.core.scoring`.
 """
 
 from __future__ import annotations

@@ -536,10 +536,9 @@ class SocialNetwork:
 
     def add_friendship(self, a: int, b: int) -> bool:
         """Create a (mutual) friendship between two existing accounts."""
-        acct_a, acct_b = self.get_account(a), self.get_account(b)
+        _require_account(self, a)
+        _require_account(self, b)
         if self.graph.add_edge(a, b):
-            acct_a.friend_ids.add(b)
-            acct_b.friend_ids.add(a)
             self.bump_version()
             return True
         return False

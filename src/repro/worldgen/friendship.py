@@ -104,11 +104,7 @@ class FriendshipBuilder:
             self._build_school_edges(school_index)
         self._build_family_edges()
         self._build_external_edges()
-        installed = self.network.graph.bulk_add_edges(self._edges)
-        for a, b in self._edges:
-            self.network.users[a].friend_ids.add(b)
-            self.network.users[b].friend_ids.add(a)
-        return installed
+        return self.network.graph.bulk_add_edges(self._edges)
 
     def _add_edge(self, a: int, b: int) -> None:
         if a == b:
@@ -322,16 +318,13 @@ class FriendshipBuilder:
     # ------------------------------------------------------------------
     # External friends
     # ------------------------------------------------------------------
-    def _external_pool(self) -> Sequence[int]:
-        uids = [
+    def _external_pool(self) -> List[int]:
+        return [
             uid
             for role in (Role.EXTERNAL, Role.CITY_ADULT)
             for pid in self.population.ids_with_role(role)
             if (uid := self.index.user_for(pid)) is not None
         ]
-        if not HAS_NUMPY:
-            return uids
-        return np.array(uids, dtype=np.int64)
 
     def _external_degree(self, median: float, sigma: float, size: int) -> Sequence[int]:
         mu = math.log(max(median, 1.0))
@@ -345,7 +338,7 @@ class FriendshipBuilder:
     def _build_external_edges(self) -> None:
         cfg = self.config.friendship
         pool = self._external_pool()
-        if len(pool) == 0:
+        if not pool:
             return
         plans = (
             ((Role.STUDENT, Role.FORMER_STUDENT), cfg.student_external_median, cfg.student_external_sigma),
@@ -367,7 +360,9 @@ class FriendshipBuilder:
                     for t in self._py_rng.sample(pool, min(int(k), len(pool))):
                         self._add_edge(uid, t)
                 continue
+            # Drawing indices rather than ids is draw-for-draw identical,
+            # and every edge endpoint then shares the pool's int object.
             for uid, k in zip(uids, degrees):
-                targets = self.np_rng.choice(pool, size=min(int(k), len(pool)), replace=False)
-                for t in targets:
-                    self._add_edge(uid, int(t))
+                picks = self.np_rng.choice(len(pool), size=min(int(k), len(pool)), replace=False)
+                for i in picks.tolist():
+                    self._add_edge(uid, pool[i])

@@ -130,11 +130,11 @@ class TestByteIdentity:
         world, _, _, _ = serve_pair
         some_member = None
         for uid in sorted(world.network.users):
-            if world.network.users[uid].friend_ids:
+            if world.network.friend_ids(uid):
                 some_member = uid
                 break
         assert some_member is not None
-        friend = sorted(world.network.users[some_member].friend_ids)[0]
+        friend = world.network.friend_ids(some_member)[0]
         assert_identical(serve_pair, friend, f"/profile/{some_member}")
         assert_identical(
             serve_pair, friend, f"/profile/{some_member}/friends"
@@ -187,7 +187,7 @@ class TestBadRequests:
         frontend = object_fe if storage == "object" else columnar_fe
         school_id = world.school().school_id
         target = next(
-            uid for uid in sorted(world.network.users) if world.network.users[uid].friend_ids
+            uid for uid in sorted(world.network.users) if world.network.friend_ids(uid)
         )
         routes = (
             ("/find-friends/browser", {"school": str(school_id), "offset": "-30"}),
@@ -258,7 +258,7 @@ class TestDeactivatedAccount:
         target = next(
             uid
             for uid in sorted(net.users)
-            if net.users[uid].friend_ids
+            if net.friend_ids(uid)
             and net.policy.effective_audience(net.users[uid], ProfileField.FRIEND_LIST, now)
             is Audience.PUBLIC
         )

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from repro.core.coreset import CoreSet
 from repro.core.scoring import (
+    CandidateScore,
+    ScoreTable,
     ScoringRule,
+    _argmax_year,
+    _fold,
     reverse_lookup_index,
     score_candidates,
 )
@@ -163,3 +167,68 @@ class TestScoringProperties:
             core.add_core(uid, 2012 + (i % 4), friends)
         table = score_candidates(core)
         assert set(table.scores) == core.candidate_set()
+
+
+def reference_score_candidates(core, rule, denominator_floor):
+    """Scoring as Eqs. 1-2 read literally: one owner set per candidate."""
+    by_year = core.core_by_year()
+    sizes = {
+        year: max(len(uids), denominator_floor) if uids else 0
+        for year, uids in by_year.items()
+    }
+    table = ScoreTable(rule=rule)
+    for uid, owners in reverse_lookup_index(core.friend_lists).items():
+        if uid in core.core:
+            continue
+        counts = {year: 0 for year in core.years}
+        for owner in owners:
+            year = core.core.get(owner)
+            if year in counts:
+                counts[year] += 1
+        fractions = {
+            year: (counts[year] / sizes[year]) if sizes.get(year) else 0.0
+            for year in core.years
+        }
+        table.scores[uid] = CandidateScore(
+            uid=uid,
+            counts=counts,
+            fractions=fractions,
+            score=_fold(rule, fractions, counts),
+            year=_argmax_year(fractions, counts),
+        )
+    return table
+
+
+# Owners 0-11 may list each other (core members are never candidates),
+# list the same friend twice, claim years around the four core years,
+# or own a crawled list without being in the core at all.
+owners_strategy = st.dictionaries(
+    keys=st.integers(0, 11),
+    values=st.tuples(
+        st.integers(2010, 2017),
+        st.lists(st.one_of(st.integers(0, 11), st.integers(100, 115)), max_size=12),
+        st.booleans(),
+    ),
+    max_size=8,
+)
+
+
+class TestMatchesSetReference:
+    @given(
+        owners_strategy,
+        st.sampled_from(list(ScoringRule)),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_table_and_ranking(self, owners, rule, floor):
+        core = CoreSet(school_id=1, current_year=2012)
+        for uid, (year, friends, in_core) in owners.items():
+            if in_core:
+                core.add_core(uid, year, friends)
+            else:
+                core.friend_lists[uid] = list(friends)
+        table = score_candidates(core, rule, floor)
+        expected = reference_score_candidates(core, rule, floor)
+        assert table.rule is expected.rule
+        assert list(table.scores.items()) == list(expected.scores.items())
+        assert table.ranked() == expected.ranked()

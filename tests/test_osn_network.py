@@ -263,6 +263,39 @@ class TestGraphSearch:
         assert accounts["minor"].user_id not in {e.user_id for e in results}
 
 
+class TestFriendshipWrites:
+    """The graph is the only friendship store; every write goes through it."""
+
+    def test_accepted_request_befriends_both_ways(self, school_network):
+        net, _, accounts = school_network
+        a, b = accounts["alumnus"].user_id, accounts["crawler"].user_id
+        assert net.send_friend_request(a, b)
+        before = net.version
+        assert net.respond_to_friend_request(b, a, accept=True)
+        assert b in net.friend_ids(a) and a in net.friend_ids(b)
+        assert net.are_friends(a, b) and net.are_friends(b, a)
+        assert net.version == before + 1
+
+    def test_repeated_friendship_is_a_no_op(self, school_network):
+        net, _, accounts = school_network
+        a, b = accounts["lying_minor"].user_id, accounts["minor"].user_id
+        before = net.version
+        assert not net.add_friendship(a, b)
+        assert not net.add_friendship(b, a)
+        assert net.version == before
+
+    def test_unknown_uid_leaves_graph_unchanged(self, school_network):
+        net, _, accounts = school_network
+        known = accounts["minor"].user_id
+        edges, before = sorted(net.graph.edges()), net.version
+        for a, b in ((known, 404), (404, known)):
+            with pytest.raises(NotFoundError):
+                net.add_friendship(a, b)
+        assert sorted(net.graph.edges()) == edges
+        assert 404 not in net.graph
+        assert net.version == before
+
+
 class TestStats:
     def test_population_stats_counts(self, school_network):
         net, _, accounts = school_network

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-import repro.colgen as colgen
+import repro.colgen.bench as colgen_bench
 from repro.perf.record import (
     BenchRecordError,
     ENVIRONMENT_KEYS,
@@ -108,8 +108,8 @@ def test_environment_fingerprint_shape():
 
 def test_peak_rss_positive_and_shared_with_colgen():
     assert peak_rss_bytes() > 0
-    # Satellite: colgen re-exports the perf implementation, not a copy.
-    assert colgen.peak_rss_bytes is peak_rss_bytes
+    # The worldgen bench measures with the perf implementation, not a copy.
+    assert colgen_bench.peak_rss_bytes is peak_rss_bytes
 
 
 def test_write_record_round_trips(tmp_path):

@@ -52,11 +52,6 @@ class TestEdgeStructure:
         for a, b in list(world.network.graph.edges())[:5000]:
             assert a != b
 
-    def test_graph_and_account_friend_sets_agree(self, world):
-        graph = world.network.graph
-        for uid, account in list(world.network.users.items())[:300]:
-            assert account.friend_ids == set(graph.neighbors(uid))
-
     def test_recent_alumni_know_current_students(self, world):
         """The Section-7 'natural approach' depends on these edges."""
         truth = world.ground_truth()
