@@ -45,7 +45,7 @@ from repro.osn.policy import SitePolicy, facebook_policy
 from repro.osn.privacy import PrivacySettings, Relationship
 from repro.osn.profile import Birthday, Name, Profile, SchoolAffiliation
 from repro.osn.ratelimit import RateLimitConfig
-from repro.osn.rendercache import RenderCache
+from repro.osn.rendercache import FriendListSnapshots, RenderCache
 from repro.osn.user import Account
 from repro.osn.view import ProfileView
 
@@ -381,9 +381,13 @@ class ColumnarNetwork:
         return policy_path.view_profile(self, viewer_id, target_id)
 
     def friend_page(
-        self, viewer_id: Optional[int], target_id: int, offset: int = 0
+        self,
+        viewer_id: Optional[int],
+        target_id: int,
+        offset: int = 0,
+        snapshots: Optional[FriendListSnapshots] = None,
     ) -> Tuple[int, List[DirectoryEntry]]:
-        return policy_path.friend_page(self, viewer_id, target_id, offset)
+        return policy_path.friend_page(self, viewer_id, target_id, offset, snapshots)
 
     def school_search(
         self, viewer_account_id: int, school_id: int, offset: int = 0

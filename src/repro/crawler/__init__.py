@@ -7,7 +7,7 @@ store for everything observed.
 """
 
 from .accounts import AccountPool, NoUsableAccountsError
-from .client import CrawlClient
+from .client import CrawlClient, FriendListTruncatedError
 from .effort import (
     CATEGORY_FRIEND_LISTS,
     CATEGORY_OTHER,
@@ -30,6 +30,7 @@ __all__ = [
     "CrawlStore",
     "EffortCounter",
     "EffortReport",
+    "FriendListTruncatedError",
     "NoUsableAccountsError",
     "Pacer",
     "PolitenessPolicy",

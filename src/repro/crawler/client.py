@@ -48,6 +48,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _MAX_THROTTLE_RETRIES = 8
 
 
+class FriendListTruncatedError(RuntimeError):
+    """A friend list still had pages when the page cap was reached.
+
+    Raised instead of returning the pages fetched so far, which would
+    look like a complete list and silently drop members from a ranking.
+    """
+
+    def __init__(self, user_id: int, max_pages: int, fetched: int) -> None:
+        super().__init__(
+            f"friend list of {user_id} has more than {fetched} entries "
+            f"({max_pages}-page cap reached)"
+        )
+        self.user_id = user_id
+        self.max_pages = max_pages
+        self.fetched = fetched
+
+
 class CrawlClient:
     """Fetch, parse and account for pages on behalf of the attacker."""
 
@@ -255,7 +272,9 @@ class CrawlClient:
         """Download a full friend list, page by page.
 
         Returns ``None`` when the list is not visible to a stranger —
-        the distinction between the paper's C' and core set C.
+        the distinction between the paper's C' and core set C.  Raises
+        :class:`FriendListTruncatedError` when the list is longer than
+        ``max_pages`` pages.
         """
         entries: List[DirectoryEntry] = []
         offset = 0
@@ -271,9 +290,9 @@ class CrawlClient:
             listing = parse_friends_page(page)
             entries.extend(listing.entries)
             if listing.next_offset is None:
-                break
+                return entries
             offset = listing.next_offset
-        return entries
+        raise FriendListTruncatedError(user_id, max_pages, len(entries))
 
     # ------------------------------------------------------------------
     # Contact surfaces (Section 2 threat quantification)

@@ -69,7 +69,7 @@ from repro.osn.pages import (
 from repro.osn.public import DirectoryEntry
 from repro.osn.view import ProfileView
 
-from .client import CrawlClient, _MAX_THROTTLE_RETRIES
+from .client import _MAX_THROTTLE_RETRIES, CrawlClient, FriendListTruncatedError
 from .effort import (
     CATEGORY_FRIEND_LISTS,
     CATEGORY_PROFILES,
@@ -370,7 +370,8 @@ class CrawlScheduler:
     ) -> None:
         entries: List[DirectoryEntry] = []
         offset = 0
-        for _ in range(self.plan.max_friend_pages):
+        max_pages = self.plan.max_friend_pages
+        for _ in range(max_pages):
             try:
                 page = await self._fetch(
                     turns,
@@ -387,9 +388,10 @@ class CrawlScheduler:
             entries.extend(listing.entries)
             state.visit_order.append(("friends", account_id, user_id, offset))
             if listing.next_offset is None:
-                break
+                state.friend_lists[user_id] = entries
+                return
             offset = listing.next_offset
-        state.friend_lists[user_id] = entries
+        raise FriendListTruncatedError(user_id, max_pages, len(entries))
 
     # ------------------------------------------------------------------
     # Transport (CrawlClient._transport semantics on cooperative time)

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .network import YEAR_OPS, GraphSearchQuery, SocialNetwork
 from .ratelimit import RateLimitConfig, RateLimiter
-from .rendercache import CacheKey, RenderCache
+from .rendercache import CacheKey, FriendListSnapshots, RenderCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.telemetry.runtime import Telemetry
@@ -89,6 +89,9 @@ class HtmlFrontend:
         self.limiter = RateLimiter(network.clock, rate_limit, telemetry=telemetry)
         self.telemetry = telemetry
         self.cache = cache
+        #: Each session's last countermeasure-filtered friend list; see
+        #: ``_friends``.
+        self._friend_lists = FriendListSnapshots()
         if telemetry is not None:
             self._init_metrics(telemetry)
 
@@ -244,7 +247,8 @@ class HtmlFrontend:
         pages are per-account (the portal samples a per-account pool),
         and friend lists under the reverse-lookup countermeasure are
         never cached because member visibility is decided per
-        (member, viewer) pair, which no class-level key captures.
+        (member, viewer) pair, which no class-level key captures (the
+        session's friend-list snapshot serves them instead).
         POSTs never reach this function: writes always execute.
         """
         network = self.network
@@ -357,8 +361,12 @@ class HtmlFrontend:
         return pages.render_profile_page(view)
 
     def _friends(self, account_id: int, target_id: int, params: Mapping[str, str]) -> str:
+        """One friend-list page; under the countermeasure the session's
+        filtered list is kept between pages (``FriendListSnapshots``)."""
         offset = self._offset_param(params)
-        total, entries = self.network.friend_page(account_id, target_id, offset)
+        total, entries = self.network.friend_page(
+            account_id, target_id, offset, self._friend_lists
+        )
         return pages.render_friends_page(target_id, total, offset, entries)
 
     def _school(self, school_id: int) -> str:

@@ -30,6 +30,7 @@ attack code can never accidentally peek at ground truth.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from .messaging import ContactService, FriendRequest, Message
 from .policy import SitePolicy, facebook_policy
 from .privacy import Audience, PrivacySettings, ProfileField, Relationship
 from .profile import Birthday, Profile, SchoolAffiliation
+from .rendercache import FriendListSnapshots
 from .user import Account
 from .view import ProfileView, WallPostView
 
@@ -229,20 +231,28 @@ def _friend_list_visible(network: Any, account: Account, rel: Relationship) -> b
 
 
 def friend_page(
-    network: Any, viewer_id: Optional[int], target_id: int, offset: int = 0
+    network: Any,
+    viewer_id: Optional[int],
+    target_id: int,
+    offset: int = 0,
+    snapshots: Optional[FriendListSnapshots] = None,
 ) -> Tuple[int, List[DirectoryEntry]]:
     """One page of ``target_id``'s friend list as seen by the viewer.
 
     Returns ``(total_visible, entries)``.  Raises
     :class:`NotFoundError` for a missing or deactivated account (as
     :func:`view_profile` does) and :class:`ForbiddenError` when the
-    list is not visible at all.
+    list is not visible at all; those checks run on every page.
 
     When ``reverse_lookup_enabled`` is ``False`` (the Section-8
     countermeasure), a member is omitted from *other people's* friend
     lists whenever their own friend list is hidden from this viewer —
     so users who hide their list (and all registered minors) can no
-    longer be discovered through their friends' lists.
+    longer be discovered through their friends' lists.  The filtered
+    list is needed whole (``total_visible``), so with ``snapshots`` the
+    viewer's last scan is sliced while target and version match and
+    the clock is before its horizon, and rescanned otherwise; without
+    it every page rescans.
     """
     account = network.policy_account(target_id)
     if account is None:
@@ -252,9 +262,20 @@ def friend_page(
     rel = network.relationship(viewer_id, target_id)
     if not _friend_list_visible(network, account, rel):
         raise ForbiddenError(f"friend list of {target_id} not visible")
-    friend_ids = network.friend_ids(target_id)
-    if not network.reverse_lookup_enabled:
-        friend_ids = _visible_in_friend_lists(network, viewer_id, friend_ids)
+    if network.reverse_lookup_enabled:
+        friend_ids = network.friend_ids(target_id)
+    elif snapshots is None:
+        friend_ids, _ = _visible_in_friend_lists(
+            network, viewer_id, network.friend_ids(target_id)
+        )
+    else:
+        world_version = version(network)
+        friend_ids = snapshots.get(viewer_id, target_id, world_version, network.clock.now_year)
+        if friend_ids is None:
+            friend_ids, valid_until = _visible_in_friend_lists(
+                network, viewer_id, network.friend_ids(target_id)
+            )
+            snapshots.put(viewer_id, target_id, world_version, valid_until, friend_ids)
     page = friend_ids[offset : offset + network.friends_page_size]
     entries = [DirectoryEntry(fid, network.display_name(fid)) for fid in page]
     return len(friend_ids), entries
@@ -262,19 +283,26 @@ def friend_page(
 
 def _visible_in_friend_lists(
     network: Any, viewer_id: Optional[int], member_ids: List[int]
-) -> List[int]:
+) -> Tuple[List[int], float]:
     """The countermeasure filter: members whose own friend list the
-    viewer may see, the only ones allowed to appear in friend lists.
+    viewer may see, the only ones allowed to appear in friend lists,
+    and the instant until which that answer holds.
 
     Each member is decided by their effective friend-list audience
     first; the viewer is classified only when that audience is
     FRIENDS or FRIENDS_OF_FRIENDS.  A PUBLIC list is visible to every
     viewer and an ONLY_ME list to the member alone (SELF satisfies
     every audience), so neither needs a relationship.
+
+    The horizon is the earliest instant a *hidden* member's minor cap
+    lifts (``math.inf`` if none does).  Audiences only widen with time,
+    so a shown member stays shown; at an unchanged world version the
+    list is exact at every instant before the horizon.
     """
     policy = network.policy
     now = network.clock.now_year
     visible: List[int] = []
+    valid_until = math.inf
     for member_id in member_ids:
         member = network.policy_account(member_id)
         if member is None or member.disabled:
@@ -288,7 +316,12 @@ def _visible_in_friend_lists(
             shown = network.relationship(viewer_id, member_id).satisfies(audience)
         if shown:
             visible.append(member_id)
-    return visible
+        else:
+            valid_until = min(
+                valid_until,
+                policy.minor_cap_lifts_at(member, ProfileField.FRIEND_LIST, now),
+            )
+    return visible, valid_until
 
 
 def _search_pool(network: Any, viewer_account_id: int, school_id: int) -> List[int]:
@@ -601,9 +634,13 @@ class SocialNetwork:
         return view_profile(self, viewer_id, target_id)
 
     def friend_page(
-        self, viewer_id: Optional[int], target_id: int, offset: int = 0
+        self,
+        viewer_id: Optional[int],
+        target_id: int,
+        offset: int = 0,
+        snapshots: Optional[FriendListSnapshots] = None,
     ) -> Tuple[int, List[DirectoryEntry]]:
-        return friend_page(self, viewer_id, target_id, offset)
+        return friend_page(self, viewer_id, target_id, offset, snapshots)
 
     def school_search(
         self, viewer_account_id: int, school_id: int, offset: int = 0

@@ -47,15 +47,56 @@ def _shell(title: str, body: str) -> str:
     )
 
 
-def _find(pattern: str, text: str) -> Optional[re.Match]:
-    return re.search(pattern, text, re.DOTALL)
+def _compile(pattern: str) -> "re.Pattern[str]":
+    return re.compile(pattern, re.DOTALL)
 
 
-def _require(pattern: str, text: str, what: str) -> re.Match:
-    match = _find(pattern, text)
+def _require(pattern: "re.Pattern[str]", text: str, what: str) -> "re.Match[str]":
+    match = pattern.search(text)
     if match is None:
         raise ParseError(f"could not locate {what} in page")
     return match
+
+
+# Every parser pattern, compiled once (all DOTALL).
+_PROFILE_UID_RE = _compile(r'<div id="profile" data-uid="(\d+)">')
+_NAME_RE = _compile(r'<h1 class="name">(.*?)</h1>')
+_NETWORK_RE = _compile(r'<span class="network">(.*?)</span>')
+_SCHOOL_ROW_RE = _compile(
+    r'<li class="school" data-school-id="(\d+)" data-year="(\d*)">(.*?)</li>'
+)
+_WALL_POST_RE = _compile(r'<li class="wall-post" data-author="(\d+)">(.*?)</li>')
+#: ``<span class="...">`` fields of the profile page, by class.
+_SPAN_RES = {
+    cls: _compile(rf'<span class="{cls}">(.*?)</span>')
+    for cls in (
+        "gender",
+        "relationship",
+        "interested-in",
+        "birthday-year",
+        "hometown",
+        "current-city",
+        "employer",
+        "graduate-school",
+        "photo-count",
+        "wall-count",
+        "contact-email",
+        "contact-phone",
+    )
+}
+_USER_ROW_RE = _compile(
+    r'<li class="user-row" data-uid="(\d+)"><a href="/profile/\d+">(.*?)</a></li>'
+)
+_LISTING_RES = {
+    kind: _compile(rf'<div class="{kind}" data-total="(\d+)" data-offset="(\d+)">')
+    for kind in ("friend-list", "search-results")
+}
+_SCHOOL_INFO_RE = _compile(
+    r'<div class="school-info" data-school-id="(\d+)" data-enrollment="(\d*)">'
+)
+_SCHOOL_NAME_RE = _compile(r'<h1 class="school-name">(.*?)</h1>')
+_SCHOOL_CITY_RE = _compile(r'<span class="school-city">(.*?)</span>')
+_ACTION_RE = _compile(r'<div class="action" data-kind="([^"]+)" data-target="(\d+)">')
 
 
 # ----------------------------------------------------------------------
@@ -135,24 +176,21 @@ def parse_profile_page(page: str) -> ProfileView:
     The crawler sees only this reconstruction; fields absent from the
     HTML come back as ``None``/empty, exactly like the original view.
     """
-    uid_match = _require(r'<div id="profile" data-uid="(\d+)">', page, "profile div")
+    uid_match = _require(_PROFILE_UID_RE, page, "profile div")
     user_id = int(uid_match.group(1))
-    name = _unesc(_require(r'<h1 class="name">(.*?)</h1>', page, "name").group(1))
+    name = _unesc(_require(_NAME_RE, page, "name").group(1))
 
-    gender_match = _find(r'<span class="gender">(.*?)</span>', page)
-    gender = Gender(_unesc(gender_match.group(1))) if gender_match else None
+    def span(cls: str) -> Optional[str]:
+        match = _SPAN_RES[cls].search(page)
+        return _unesc(match.group(1)) if match else None
 
-    networks = tuple(
-        _unesc(m)
-        for m in re.findall(r'<span class="network">(.*?)</span>', page, re.DOTALL)
-    )
+    gender_text = span("gender")
+    gender = Gender(gender_text) if gender_text is not None else None
+
+    networks = tuple(_unesc(m) for m in _NETWORK_RE.findall(page))
 
     schools: List[SchoolAffiliation] = []
-    for sid, year, sname in re.findall(
-        r'<li class="school" data-school-id="(\d+)" data-year="(\d*)">(.*?)</li>',
-        page,
-        re.DOTALL,
-    ):
+    for sid, year, sname in _SCHOOL_ROW_RE.findall(page):
         schools.append(
             SchoolAffiliation(
                 school_id=int(sid),
@@ -161,19 +199,13 @@ def parse_profile_page(page: str) -> ProfileView:
             )
         )
 
-    def span(cls: str) -> Optional[str]:
-        match = _find(rf'<span class="{cls}">(.*?)</span>', page)
-        return _unesc(match.group(1)) if match else None
-
     def int_span(cls: str) -> Optional[int]:
         value = span(cls)
         return int(value) if value is not None else None
 
     wall_posts = tuple(
         WallPostView(int(author), _unesc(text))
-        for author, text in re.findall(
-            r'<li class="wall-post" data-author="(\d+)">(.*?)</li>', page, re.DOTALL
-        )
+        for author, text in _WALL_POST_RE.findall(page)
     )
 
     return ProfileView(
@@ -231,11 +263,7 @@ def _render_rows(entries: Sequence[DirectoryEntry]) -> str:
 def _parse_rows(page: str) -> Tuple[DirectoryEntry, ...]:
     return tuple(
         DirectoryEntry(int(uid), _unesc(name))
-        for uid, name in re.findall(
-            r'<li class="user-row" data-uid="(\d+)"><a href="/profile/\d+">(.*?)</a></li>',
-            page,
-            re.DOTALL,
-        )
+        for uid, name in _USER_ROW_RE.findall(page)
     )
 
 
@@ -250,11 +278,7 @@ def _render_listing(
 
 
 def _parse_listing(kind: str, page: str) -> ListingPage:
-    match = _require(
-        rf'<div class="{kind}" data-total="(\d+)" data-offset="(\d+)">',
-        page,
-        f"{kind} listing",
-    )
+    match = _require(_LISTING_RES[kind], page, f"{kind} listing")
     return ListingPage(
         total=int(match.group(1)),
         offset=int(match.group(2)),
@@ -298,13 +322,9 @@ def render_school_page(school: School) -> str:
 
 
 def parse_school_page(page: str) -> School:
-    match = _require(
-        r'<div class="school-info" data-school-id="(\d+)" data-enrollment="(\d*)">',
-        page,
-        "school info",
-    )
-    name = _unesc(_require(r'<h1 class="school-name">(.*?)</h1>', page, "school name").group(1))
-    city = _unesc(_require(r'<span class="school-city">(.*?)</span>', page, "school city").group(1))
+    match = _require(_SCHOOL_INFO_RE, page, "school info")
+    name = _unesc(_require(_SCHOOL_NAME_RE, page, "school name").group(1))
+    city = _unesc(_require(_SCHOOL_CITY_RE, page, "school city").group(1))
     enrollment = match.group(2)
     return School(
         school_id=int(match.group(1)),
@@ -325,7 +345,5 @@ def render_action_page(kind: str, target_id: int) -> str:
 
 def parse_action_page(page: str) -> Tuple[str, int]:
     """Parse a confirmation page into (kind, target user id)."""
-    match = _require(
-        r'<div class="action" data-kind="([^"]+)" data-target="(\d+)">', page, "action"
-    )
+    match = _require(_ACTION_RE, page, "action")
     return _unesc(match.group(1)), int(match.group(2))

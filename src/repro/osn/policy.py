@@ -18,6 +18,7 @@ describe actual behaviour, not documentation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
@@ -111,6 +112,31 @@ class SitePolicy:
         if self.is_registered_minor(account, now_year):
             return cap
         return chosen
+
+    def minor_cap_lifts_at(
+        self, account: Account, field_: ProfileField, now_year: float
+    ) -> float:
+        """The first instant the field's effective audience can change.
+
+        Only the minor cap moves with time, and only by lifting: when it
+        binds now, the audience widens to the account's own setting at
+        its registered ``adult_age`` birthday; otherwise the effective
+        audience is the same at every later instant and this returns
+        ``math.inf``.  At the returned instant the account is already a
+        registered adult, so :meth:`effective_audience` is constant on
+        ``[now_year, result)``.
+        """
+        chosen = account.settings.audience_for(field_)
+        if self.effective_audience(account, field_, now_year) is not chosen:
+            # ``is_registered_minor`` tests ``now - birthday < adult_age``
+            # with an exact subtraction, so the first adult instant is
+            # the sum rounded to nearest, or the next float up when the
+            # sum rounded down.
+            lifts = account.registered_birthday.as_year_fraction + self.adult_age
+            if self.is_registered_minor(account, lifts):
+                lifts = math.nextafter(lifts, math.inf)
+            return lifts
+        return math.inf
 
     def field_visible_to(
         self,

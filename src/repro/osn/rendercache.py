@@ -1,4 +1,5 @@
-"""An LRU cache for rendered HTML pages.
+"""An LRU cache for rendered HTML pages, and per-session friend-list
+snapshots for the route it cannot cache.
 
 The paper's crawl hammers a small set of hot pages — school search
 pages scrolled by every account and high-degree profiles re-entered
@@ -15,12 +16,18 @@ therefore never depends on enumerating what a mutation invalidated.
 The cache itself is deliberately dumb: it stores strings under opaque
 tuple keys.  What is cacheable (and what the key must include) is the
 frontend's knowledge — see ``HtmlFrontend._cache_key``.
+
+Friend lists under the reverse-lookup countermeasure are not cacheable
+(member visibility is per viewer), so :class:`FriendListSnapshots`
+keeps each session's last filtered list instead: the crawl pages
+through one list at a time per account, so that list is almost always
+the one the session asks for next.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: A cache key: route marker plus route-specific discriminators, always
 #: ending with the world version.
@@ -82,3 +89,42 @@ class RenderCache:
             "evictions": float(self.evictions),
             "hit_rate": self.hit_rate,
         }
+
+
+class FriendListSnapshots:
+    """One slot per session: its last countermeasure-filtered friend list.
+
+    A slot holds ``(target id, world version, valid until, visible
+    ids)`` and answers only the same target at the same version strictly
+    before ``valid until`` — the first instant a hidden member's minor
+    cap lifts (``SitePolicy.minor_cap_lifts_at``).  A shown member stays
+    shown as time passes, because an effective audience only widens, so
+    those three checks make a slot's list exactly what a rescan would
+    return.  Anything else misses and the caller rescans and overwrites.
+    """
+
+    def __init__(self) -> None:
+        self._slots: Dict[Optional[int], Tuple[int, int, float, List[int]]] = {}
+
+    def get(
+        self, viewer_id: Optional[int], target_id: int, version: int, now_year: float
+    ) -> Optional[List[int]]:
+        """The viewer's visible ids of ``target_id``'s list, or None."""
+        slot = self._slots.get(viewer_id)
+        if slot is None:
+            return None
+        slot_target, slot_version, valid_until, visible = slot
+        if slot_target == target_id and slot_version == version and now_year < valid_until:
+            return visible
+        return None
+
+    def put(
+        self,
+        viewer_id: Optional[int],
+        target_id: int,
+        version: int,
+        valid_until: float,
+        visible: List[int],
+    ) -> None:
+        """Overwrite the viewer's slot with a fresh scan."""
+        self._slots[viewer_id] = (target_id, version, valid_until, visible)  # repro-lint: shared(FriendListSnapshots) -- a session overwrites only its own slot; a lost write costs one rescan

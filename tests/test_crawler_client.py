@@ -3,13 +3,23 @@
 import pytest
 
 from repro.crawler.accounts import AccountPool
-from repro.crawler.client import CrawlClient
+from repro.crawler.client import CrawlClient, FriendListTruncatedError
 from repro.crawler.effort import CATEGORY_PROFILES, CATEGORY_SEEDS
 from repro.crawler.politeness import PolitenessPolicy
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.privacy import PrivacySettings
 from repro.osn.profile import Birthday, Name, Profile
 from repro.osn.ratelimit import RateLimitConfig
+
+
+def befriend_many(net, owner_id, count):
+    """Give ``owner_id`` ``count`` new adult friends."""
+    for i in range(count):
+        friend = net.register_account(
+            profile=Profile(name=Name("Friend", str(i))),
+            registered_birthday=Birthday(1980),
+        )
+        net.add_friendship(owner_id, friend.user_id)
 
 
 @pytest.fixture()
@@ -94,6 +104,20 @@ class TestFriendLists:
         assert len(entries) == 53
         # 53 friends at p=20 per page -> 3 requests
         assert crawl.counter.count("friend_lists") == 3
+
+    def test_page_cap_raises_instead_of_truncating(self, school_network):
+        net, _, accounts = school_network
+        alumnus = accounts["alumnus"].user_id
+        befriend_many(net, alumnus, 44)  # 45 friends: pages of 20, 20, 5
+        crawl = CrawlClient(
+            HtmlFrontend(net),
+            AccountPool.of([accounts["crawler"].user_id]),
+            PolitenessPolicy(base_delay_seconds=0, jitter_seconds=0),
+        )
+        with pytest.raises(FriendListTruncatedError) as caught:
+            crawl.fetch_friend_list(alumnus, max_pages=2)
+        assert (caught.value.user_id, caught.value.fetched) == (alumnus, 40)
+        assert len(crawl.fetch_friend_list(alumnus, max_pages=3)) == 45
 
 
 class TestSchoolLookup:

@@ -15,11 +15,14 @@ import asyncio
 import pytest
 
 from repro.crawler.accounts import AccountPool
-from repro.crawler.client import CrawlClient
+from repro.crawler.client import CrawlClient, FriendListTruncatedError
 from repro.crawler.engine import CrawlPlan, CrawlScheduler, TurnDispatcher
+from repro.osn.frontend import HtmlFrontend
 from repro.osn.clock import SimClock
 from repro.worldgen.presets import tiny
 from repro.worldgen.world import build_world
+
+from .test_crawler_client import befriend_many
 
 _SEED = 7
 _BUDGET = 12
@@ -180,3 +183,22 @@ class TestPlanValidation:
         assert len(result.profiles) == 4
         assert result.friend_lists == {}
         assert result.effort.friend_list_requests == 0
+
+
+class TestFriendPageCap:
+    def test_page_cap_raises_instead_of_truncating(self, school_network):
+        net, school, accounts = school_network
+        alumnus = accounts["alumnus"].user_id
+        befriend_many(net, alumnus, 44)  # 45 friends: pages of 20, 20, 5
+
+        def crawl(max_friend_pages):
+            client = CrawlClient(
+                HtmlFrontend(net), AccountPool.of([accounts["crawler"].user_id])
+            )
+            plan = CrawlPlan(school.school_id, max_friend_pages=max_friend_pages)
+            return CrawlScheduler(client, plan).run()
+
+        with pytest.raises(FriendListTruncatedError) as caught:
+            crawl(2)
+        assert (caught.value.user_id, caught.value.fetched) == (alumnus, 40)
+        assert len(crawl(3).friend_lists[alumnus]) == 45

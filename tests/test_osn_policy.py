@@ -1,5 +1,7 @@
 """Tests for the Facebook/Google+ minor-policy engines (Tables 1 and 6)."""
 
+import math
+
 import pytest
 
 from repro.osn.clock import SimClock
@@ -133,6 +135,74 @@ class TestEffectiveAudience:
                     expected = min(chosen, cap)
                 actual = policy.effective_audience(account, field_, NOW)
                 assert actual is expected, (field_, chosen)
+
+
+class TestMinorCapLiftsAt:
+    """Every (policy, field, chosen audience, registered age): the
+    horizon is ``inf`` unless the minor cap binds now; when it binds,
+    the member is a registered adult at the horizon and a minor just
+    before it, and the effective audience is constant on
+    ``[NOW, horizon)``."""
+
+    @staticmethod
+    def _account(registered, field_, chosen):
+        return Account(
+            user_id=1,
+            profile=Profile(name=Name("Test", "User")),
+            registered_birthday=registered,
+            real_birthday=registered,
+            settings=PrivacySettings(audiences={field_: chosen}),
+        )
+
+    def _check(self, policy, account, field_, now):
+        audience = policy.effective_audience(account, field_, now)
+        lifts = policy.minor_cap_lifts_at(account, field_, now)
+        chosen = account.settings.audience_for(field_)
+        if audience is chosen:
+            assert lifts == math.inf, field_
+            assert policy.effective_audience(account, field_, now + 100) is chosen
+            return
+        just_before = math.nextafter(lifts, -math.inf)
+        assert now <= just_before < lifts, field_
+        assert policy.is_registered_minor(account, just_before), field_
+        assert not policy.is_registered_minor(account, lifts), field_
+        for instant in (now, (now + lifts) / 2, just_before):
+            assert policy.effective_audience(account, field_, instant) is audience
+        assert policy.effective_audience(account, field_, lifts) is chosen
+
+    @pytest.mark.parametrize("make_policy", [facebook_policy, googleplus_policy])
+    @pytest.mark.parametrize(
+        "registered, cap_can_bind",
+        [
+            (Birthday(1997), True),
+            (Birthday(1985), False),
+            (Birthday(1994, 0.25), False),  # turns 18 exactly at NOW
+        ],
+        ids=["minor", "adult", "exactly-18"],
+    )
+    def test_every_field_and_audience(self, make_policy, registered, cap_can_bind):
+        policy = make_policy()
+        bound = 0
+        for field_ in ProfileField:
+            for chosen in Audience:
+                account = self._account(registered, field_, chosen)
+                self._check(policy, account, field_, NOW)
+                bound += policy.minor_cap_lifts_at(account, field_, NOW) < math.inf
+        binds_somewhere = cap_can_bind and policy.minor_nonstranger_cap_audience < max(
+            Audience
+        )
+        assert (bound > 0) is binds_somewhere
+
+    def test_sum_that_rounds_down(self):
+        # 2030.999 + 18 rounds below the exact sum, so the horizon is
+        # the next float up.
+        registered = Birthday(2030, 0.999)
+        policy = facebook_policy()
+        account = self._account(registered, ProfileField.FRIEND_LIST, Audience.PUBLIC)
+        rounded = registered.as_year_fraction + policy.adult_age
+        assert policy.is_registered_minor(account, rounded)
+        assert policy.minor_cap_lifts_at(account, ProfileField.FRIEND_LIST, 2040.0) > rounded
+        self._check(policy, account, ProfileField.FRIEND_LIST, 2040.0)
 
 
 class TestMessageButton:
